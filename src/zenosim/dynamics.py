@@ -18,6 +18,12 @@ is integrated with a fixed-step classical 4th-order Runge-Kutta scheme, with
 steps aligned to the pulse-window boundaries so the piecewise-constant
 Hamiltonian never changes inside a step.  The drive signs follow the Bloch
 convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
+
+The equation is linear, so inside a segment one RK4 step is a fixed 9x9 map
+on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
+(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks, P..P^b times
+the last state in one batched product, and each block is validated at once
+(trace, Hermiticity, positivity) before the next is made.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
-from .states import BlochVector, as_density, min_eigenvalue
+from .states import BlochVector, as_density
 
 #: Trace drift tolerated along a stored trajectory.
 TRAJECTORY_TRACE_TOL = 1e-9
@@ -39,6 +45,9 @@ TRAJECTORY_MIN_EIG_TOL = 1e-8
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
+#: States produced, and validated, per batched product: P, P^2, ..., P^_BLOCK
+#: are stacked once per segment.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -203,35 +212,129 @@ def apply_projection(rho) -> np.ndarray:
     return np.diag(np.diag(rho)).astype(complex)
 
 
-def _validate_step(rho: np.ndarray, t: float) -> None:
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > TRAJECTORY_HERMITICITY_TOL:
-        raise IntegrationError(f"state lost Hermiticity (residue {herm:.3e})", time=t)
-    trace = abs(complex(rho.trace()) - 1.0)
-    if trace > TRAJECTORY_TRACE_TOL:
-        raise IntegrationError(f"state lost unit trace (residue {trace:.3e})", time=t)
-    low = min_eigenvalue(0.5 * (rho + rho.conj().T))
-    if low < -TRAJECTORY_MIN_EIG_TOL:
-        raise IntegrationError(f"state lost positivity (min eig {low:.3e})", time=t)
-
-
-def _segments(cfg: LindbladConfig) -> list[tuple[float, float, bool]]:
-    """Split [0, T] into (start, end, pulse_on) pieces at the window edges."""
+def _segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]:
+    """Split [0, T] into (start, end, pulse_on, n_steps) pieces at the window edges."""
     t_end = cfg.ion.t_pi
-    if cfg.schedule is None:
-        return [(0.0, t_end, False)]
-    d = cfg.schedule.optical_pulse_duration
     segs: list[tuple[float, float, bool]] = []
     cursor = 0.0
-    for tk in cfg.schedule.measurement_times:
-        start = tk - d
-        if start > cursor:
-            segs.append((cursor, start, False))
-        segs.append((start, tk, True))
-        cursor = tk
+    if cfg.schedule is not None:
+        d = cfg.schedule.optical_pulse_duration
+        for tk in cfg.schedule.measurement_times:
+            start = tk - d
+            if start > cursor:
+                segs.append((cursor, start, False))
+            segs.append((start, tk, True))
+            cursor = tk
     if t_end - cursor > 1e-12 * t_end:
         segs.append((cursor, t_end, False))
-    return segs
+    return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
+
+
+def _liouvillian(ham: np.ndarray, gamma: float) -> np.ndarray:
+    # Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator
+    # |0><2| and its number operator |2><2| are real, so no conjugate or
+    # transpose of them appears.
+    eye = np.eye(3)
+    jump = np.zeros((3, 3))
+    jump[0, 2] = 1.0  # |0><2|: the auxiliary level decays to the lower level only
+    number = np.diag([0.0, 0.0, 1.0])
+    dissipator = np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
+    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + gamma * dissipator
+
+
+def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:
+    """Stack P, P^2, ..., P^count of the RK4 step map P = sum_k (hL)^k / k!, k <= 4."""
+    step = h * generator
+    term = np.eye(9, dtype=complex)
+    powers = np.empty((count, 9, 9), dtype=complex)
+    powers[0] = term
+    for k in range(1, 5):
+        term = term @ step / k
+        powers[0] += term
+    filled = 1
+    while filled < count:  # P^(j + filled) = P^j P^filled, one batched product per doubling
+        take = min(filled, count - filled)
+        np.matmul(powers[:take], powers[filled - 1], out=powers[filled:filled + take])
+        filled += take
+    return powers
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of a (b, 3, 3) stack has all LDL^H pivots > 0.
+
+    As reliable as Cholesky, and without LAPACK, whose eigensolver pages in
+    about 1 MB of library code.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = a[:, 0, 0].real
+        d2 = a[:, 1, 1].real - np.abs(a[:, 1, 0]) ** 2 / d1
+        d2_l32 = a[:, 2, 1] - a[:, 2, 0] * a[:, 0, 1] / d1  # d2 times L[2, 1]
+        d3 = a[:, 2, 2].real - np.abs(a[:, 2, 0]) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
+    return (d1 > 0) & (d2 > 0) & (d3 > 0)
+
+
+def _validate_block(times: list[float], states: np.ndarray) -> None:
+    """Raise at the earliest state of the (b, 3, 3) stack that breaks an invariant.
+
+    Comparisons are written so that NaN fails them.
+    """
+    adjoint = states.conj().swapaxes(1, 2)
+    herm = np.abs(states - adjoint).max(axis=(1, 2))
+    trace = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL)
+    stop = len(states) if ok.all() else int(np.argmin(ok))
+    # Only finite states reach the positivity test: the smallest eigenvalue
+    # exceeds -tol where the Hermitian part plus tol * I is positive definite.
+    herm_part = 0.5 * (states[:stop] + adjoint[:stop])
+    positive = _positive_definite(herm_part + TRAJECTORY_MIN_EIG_TOL * np.eye(3))
+    if not positive.all():
+        i = int(np.argmin(positive))
+        low = np.linalg.eigvalsh(herm_part[i])[0]
+        raise IntegrationError(f"state lost positivity (min eig {low:.3e})", time=times[i])
+    if stop < len(states):
+        if not herm[stop] <= TRAJECTORY_HERMITICITY_TOL:
+            lost = f"Hermiticity (residue {herm[stop]:.3e})"
+        else:
+            lost = f"unit trace (residue {trace[stop]:.3e})"
+        raise IntegrationError(f"state lost {lost}", time=times[stop])
+
+
+def _trajectory_blocks(cfg: LindbladConfig, rho0):
+    """Yield validated (times, states) blocks of the trajectory, rho0 at t=0 first.
+
+    Each segment advances by one batched product per block, P^1..P^b times
+    the last state, so no state is skipped by the validation.
+    """
+    rho = as_density(rho0)
+    if rho.shape != (3, 3):
+        raise InvalidStateError("initial state must be 3x3")
+
+    h_free = np.zeros((3, 3), dtype=complex)
+    h_free[0, 1] = h_free[1, 0] = -cfg.ion.omega / 2.0
+    h_pulse = h_free.copy()
+    if cfg.schedule is not None:
+        if not cfg.schedule.rf_during_pulse:
+            h_pulse[:] = 0.0
+        h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
+    generators = {False: _liouvillian(h_free, cfg.gamma), True: _liouvillian(h_pulse, cfg.gamma)}
+
+    times, states = [0.0], rho[None]
+    _validate_block(times, states)
+    yield times, states
+    vec = rho.reshape(9, 1)
+    for start, end, pulse_on, n_steps in _segments(cfg):
+        h = (end - start) / n_steps
+        powers = _rk4_powers(generators[pulse_on], h, min(_BLOCK, n_steps))
+        for done in range(0, n_steps, len(powers)):
+            size = min(len(powers), n_steps - done)
+            block = powers[:size] @ vec
+            vec = block[-1]
+            times = [start + i * h for i in range(done + 1, done + size + 1)]
+            if done + size == n_steps:
+                times[-1] = end
+            states = block.reshape(size, 3, 3)
+            _validate_block(times, states)
+            yield times, states
 
 
 def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarray]]:
@@ -257,58 +360,26 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarra
         If ``rho0`` is not 3x3.
     IntegrationError
         If any stored state (including ``rho0`` at t=0) violates a state
-        invariant; the error carries the offending time.
+        invariant, or is not finite; the error carries the offending time.
     """
-    rho = as_density(rho0)
-    if rho.shape != (3, 3):
-        raise InvalidStateError("initial state must be 3x3")
+    n_states = 1 + sum(seg[3] for seg in _segments(cfg))
+    stored = np.empty((n_states, 3, 3), dtype=complex)
+    times: list[float] = []
+    for block_times, states in _trajectory_blocks(cfg, rho0):
+        stored[len(times):len(times) + len(states)] = states
+        times.extend(block_times)
+    stored.flags.writeable = False
+    return list(zip(times, stored))
 
-    omega = cfg.ion.omega
-    h_free = np.zeros((3, 3), dtype=complex)
-    h_free[0, 1] = h_free[1, 0] = -omega / 2.0
-    if cfg.schedule is not None:
-        h_pulse = h_free.copy() if cfg.schedule.rf_during_pulse else np.zeros(
-            (3, 3), dtype=complex
-        )
-        h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
-    else:
-        h_pulse = h_free
 
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[0, 2] = 1.0  # |0><2|: the auxiliary level decays to the lower level only
-    lower_dag = lower.conj().T
-    number = lower_dag @ lower
-    gamma = cfg.gamma
+def final_state(cfg: LindbladConfig, rho0) -> np.ndarray:
+    """Last state of :func:`integrate_lindblad`'s trajectory, storing no other.
 
-    def rhs(ham: np.ndarray, state: np.ndarray) -> np.ndarray:
-        out = -1j * (ham @ state - state @ ham)
-        if gamma != 0.0:
-            out += gamma * (
-                lower @ state @ lower_dag - 0.5 * (number @ state + state @ number)
-            )
-        return out
-
-    traj: list[tuple[float, np.ndarray]] = []
-
-    def store(t: float, state: np.ndarray) -> None:
-        _validate_step(state, t)
-        snapshot = state.copy()
-        snapshot.flags.writeable = False
-        traj.append((t, snapshot))
-
-    store(0.0, rho)
-    for start, end, pulse_on in _segments(cfg):
-        ham = h_pulse if pulse_on else h_free
-        n_steps = max(1, math.ceil((end - start) / cfg.integrator_step))
-        h = (end - start) / n_steps
-        for i in range(1, n_steps + 1):
-            k1 = rhs(ham, rho)
-            k2 = rhs(ham, rho + (0.5 * h) * k1)
-            k3 = rhs(ham, rho + (0.5 * h) * k2)
-            k4 = rhs(ham, rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            store(start + i * h if i < n_steps else end, rho)
-    return traj
+    Every intermediate state is still validated, with the same errors.
+    """
+    for _, states in _trajectory_blocks(cfg, rho0):
+        last = states[-1]
+    return last.copy()
 
 
 def populations(traj: list[tuple[float, np.ndarray]]) -> list[tuple[float, float, float, float]]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -23,16 +22,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import RunConfig
-from .dynamics import IonConfig, LindbladConfig, PulseSchedule, integrate_lindblad
+from .dynamics import IonConfig, LindbladConfig, PulseSchedule, final_state
 from .errors import ConfigError, IntegrationError
 from .ion import n_max, p2_asymptotic, p2_closed_form, p2_decoherence_limited
 from .neutron import neutron_n_max, p_up_ideal, p_up_limited, phi_zero
 
 REGIME_VALID = "valid"
 REGIME_ILL_DEFINED = "ill-defined"
-
-#: Environment variable that overrides the integrator step (debugging only).
-STEP_OVERRIDE_ENV = "ZENO_SIM_STEP_OVERRIDE"
 
 
 @dataclass(frozen=True)
@@ -64,23 +60,8 @@ class SweepResult:
         return tuple(self.metadata.get("columns", ()))
 
 
-def _step_override() -> float | None:
-    raw = os.environ.get(STEP_OVERRIDE_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"not a float: {raw!r}", field=STEP_OVERRIDE_ENV) from exc
-
-
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _resolved_step(cfg: RunConfig) -> float | None:
-    override = _step_override()
-    return cfg.schedule.integrator_step if override is None else override
 
 
 def lindblad_p2(ion: IonConfig, cfg: RunConfig) -> float:
@@ -91,12 +72,8 @@ def lindblad_p2(ion: IonConfig, cfg: RunConfig) -> float:
         pulse_area=cfg.schedule.pulse_area,
         rf_during_pulse=cfg.schedule.rf_during_pulse,
     )
-    step = _resolved_step(cfg)
-    lcfg = LindbladConfig(ion, sched, integrator_step=step)
-    rho0 = np.zeros((3, 3), dtype=complex)
-    rho0[0, 0] = 1.0
-    traj = integrate_lindblad(lcfg, rho0)
-    return traj[-1][1][1, 1].real
+    lcfg = LindbladConfig(ion, sched, integrator_step=cfg.schedule.integrator_step)
+    return final_state(lcfg, np.diag([1.0, 0.0, 0.0]))[1, 1].real
 
 
 def run_ion_sweep(cfg: RunConfig) -> SweepResult:
@@ -135,7 +112,7 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         },
         "n_max": bound,
         "timestamp": _timestamp(),
-        "integrator_step": _resolved_step(cfg) if cfg.lindblad else None,
+        "integrator_step": cfg.schedule.integrator_step if cfg.lindblad else None,
         "columns": list(SweepRow.__dataclass_fields__),
     }
     return SweepResult(tuple(rows), metadata)
@@ -198,7 +175,7 @@ def emit(result: SweepResult, format: str = "csv", destination=None) -> None:
         text = "\n".join(_csv_lines(result)) + "\n"
     elif format == "json":
         payload = {"metadata": result.metadata, "rows": [asdict(r) for r in result.rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown format {format!r}", field="output.format")
     if destination is None or destination == "-":

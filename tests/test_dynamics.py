@@ -1,5 +1,6 @@
 """Tests for Bloch precession, the projection map, and the Lindblad integrator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,10 +20,63 @@ from zenosim import (
     integrate_lindblad,
     populations,
 )
-from zenosim.dynamics import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_TRACE_TOL
+from zenosim.dynamics import (
+    TRAJECTORY_HERMITICITY_TOL,
+    TRAJECTORY_MIN_EIG_TOL,
+    TRAJECTORY_TRACE_TOL,
+    _positive_definite,
+    _segments,
+    final_state,
+)
 
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+
+
+def reference_rk4(cfg: LindbladConfig, rho0) -> tuple[list[float], np.ndarray]:
+    """Plain RK4, one step at a time, on the master equation in commutator form.
+
+    The right-hand side is the matrix whose columns are the commutator-form
+    right-hand side applied to the nine basis matrices (row-major), so the
+    loop advances a 9-vector: the same arithmetic as stepping 3x3 matrices,
+    at a fifth of the cost.
+    """
+    lower = np.zeros((3, 3), dtype=complex)
+    lower[0, 2] = 1.0
+    number = lower.conj().T @ lower
+
+    def rhs(ham, state):
+        return -1j * (ham @ state - state @ ham) + cfg.gamma * (
+            lower @ state @ lower.conj().T - 0.5 * (number @ state + state @ number)
+        )
+
+    h_free = np.zeros((3, 3), dtype=complex)
+    h_free[0, 1] = h_free[1, 0] = -cfg.ion.omega / 2.0
+    h_pulse = h_free.copy()
+    if cfg.schedule is not None:
+        if not cfg.schedule.rf_during_pulse:
+            h_pulse[:] = 0.0
+        h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
+    basis = np.eye(9).reshape(9, 3, 3)
+    generators = {
+        pulse_on: np.array([rhs(ham, e).reshape(9) for e in basis]).T
+        for pulse_on, ham in ((False, h_free), (True, h_pulse))
+    }
+    x = np.asarray(rho0, dtype=complex).reshape(9)
+    times, states = [0.0], [x]
+    for start, end, pulse_on, n_steps in _segments(cfg):
+        assert n_steps == max(1, math.ceil((end - start) / cfg.integrator_step))
+        gen = generators[pulse_on]
+        h = (end - start) / n_steps
+        for i in range(1, n_steps + 1):
+            k1 = gen @ x
+            k2 = gen @ (x + (0.5 * h) * k1)
+            k3 = gen @ (x + (0.5 * h) * k2)
+            k4 = gen @ (x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            times.append(start + i * h if i < n_steps else end)
+            states.append(x)
+    return times, np.array(states).reshape(-1, 3, 3)
 
 
 class TestEvolveBloch:
@@ -212,11 +266,69 @@ class TestIntegrateLindblad:
             integrate_lindblad(cfg, bad)
         assert err.value.time == 0.0
 
+    def test_non_finite_initial_state_rejected(self):
+        cfg = LindbladConfig(IonConfig(1.0, 0.1, 1))
+        for run in (integrate_lindblad, final_state):
+            with pytest.raises(IntegrationError) as err:
+                run(cfg, np.full((3, 3), np.nan))
+            assert err.value.time == 0.0
+
+    def test_failure_reported_at_earliest_state(self):
+        # Two negative eigenvalues inside tolerance at t=0: the decay pours
+        # the one of level 2 into level 0, and the minimum eigenvalue crosses
+        # the tolerance inside a block, at a step far from either end.
+        cfg = LindbladConfig(IonConfig(1.0, 1.0, 1))
+        delta = 0.8e-8
+        rho0 = np.diag([-delta, 1.0 + 2.0 * delta, -delta]).astype(complex)
+        times, states = reference_rk4(cfg, rho0)
+        low = np.linalg.eigvalsh(states)[:, 0]
+        first = int(np.argmax(low < -TRAJECTORY_MIN_EIG_TOL))
+        assert 1 < first < len(times) - 1
+        for run in (integrate_lindblad, final_state):
+            with pytest.raises(IntegrationError, match="positivity") as err:
+                run(cfg, rho0)
+            assert err.value.time == times[first]
+
+    def test_positivity_test_matches_eigensolver(self):
+        # Spectra around the tolerance, rank-deficient ones included.
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=(2000, 3, 3)) + 1j * rng.normal(size=(2000, 3, 3))
+        basis = np.linalg.eigh(v + v.conj().swapaxes(1, 2))[1]
+        spectrum = np.stack([
+            rng.choice([0.0, 1e-12, -1e-12, 5e-9, -5e-9, -2e-8, -1.0], size=2000),
+            rng.choice([0.0, 1e-10, 0.3], size=2000),
+            np.ones(2000),
+        ], axis=1)
+        herm = (basis * spectrum[:, None, :]) @ basis.conj().swapaxes(1, 2)
+        want = np.linalg.eigvalsh(herm)[:, 0] >= -TRAJECTORY_MIN_EIG_TOL
+        got = _positive_definite(herm + TRAJECTORY_MIN_EIG_TOL * np.eye(3))
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(got, want)
+
     def test_returned_states_read_only(self):
         ion = IonConfig(1.0, 0.05, 1)
         traj = integrate_lindblad(LindbladConfig(ion), AUX3)
         with pytest.raises(ValueError):
             traj[0][1][0, 0] = 1.0
+
+
+class TestEngineMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "n, lifetime_ratio, fraction, rf_during_pulse",
+        list(itertools.product((1, 2, 4), (5, 20, 100), (0.025, 0.05), (True, False))),
+    )
+    def test_every_state(self, n, lifetime_ratio, fraction, rf_during_pulse):
+        ion = IonConfig(1.0, (math.pi / n) / lifetime_ratio, n)
+        sched = PulseSchedule.equispaced(
+            ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
+        )
+        cfg = LindbladConfig(ion, sched)
+        want_times, want = reference_rk4(cfg, GROUND3)
+        traj = integrate_lindblad(cfg, GROUND3)
+        assert [t for t, _ in traj] == want_times
+        got = np.array([rho for _, rho in traj])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        np.testing.assert_array_equal(final_state(cfg, GROUND3), traj[-1][1])
 
 
 class TestPopulations:

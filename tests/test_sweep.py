@@ -9,7 +9,8 @@ from zenosim import (
     ConfigError,
     NeutronConfig,
     RunConfig,
-    ScheduleParams,
+    SweepResult,
+    SweepRow,
     emit,
     load_result,
     parse_config,
@@ -155,6 +156,25 @@ class TestEmit:
         emit(result, "json", target)
         assert load_result(target) == result
 
+    def test_json_bytes_of_finite_table(self):
+        row = SweepRow(2, 0.5, 0.457597513764, 0.5, 0.515364584926, "valid")
+        buffer = io.StringIO()
+        emit(SweepResult((row,), {"n_max": 31, "integrator_step": None}), "json", buffer)
+        assert buffer.getvalue() == (
+            '{\n  "metadata": {\n    "n_max": 31,\n    "integrator_step": null\n  },\n'
+            '  "rows": [\n    {\n      "n": 2,\n      "p2_projection": 0.5,\n'
+            '      "p2_asymptotic": 0.457597513764,\n      "p2_limited": 0.5,\n'
+            '      "p2_lindblad": 0.515364584926,\n      "regime_flag": "valid"\n'
+            '    }\n  ]\n}\n'
+        )
+
+    def test_json_rejects_non_finite_value(self):
+        row = SweepRow(2, 0.5, 0.457597513764, 0.5, math.nan, "valid")
+        buffer = io.StringIO()
+        with pytest.raises(ValueError):
+            emit(SweepResult((row,), {}), "json", buffer)
+        assert buffer.getvalue() == ""
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             emit(run_ion_sweep(ion_config()), "yaml", io.StringIO())
@@ -250,21 +270,3 @@ class TestConfigFile:
             parse_n_list("3,0")
         with pytest.raises(ConfigError):
             parse_n_list("3,x")
-
-
-class TestStepOverride:
-    def test_env_var_overrides_step(self, monkeypatch):
-        cfg = ion_config(
-            n_list=(2,),
-            ion_tau_sp=(math.pi / 2) / 20,
-            lindblad=True,
-            schedule=ScheduleParams(integrator_step=1e-3),
-        )
-        monkeypatch.setenv("ZENO_SIM_STEP_OVERRIDE", "5e-4")
-        result = run_ion_sweep(cfg)
-        assert result.metadata["integrator_step"] == 5e-4
-
-    def test_bad_override_rejected(self, monkeypatch):
-        monkeypatch.setenv("ZENO_SIM_STEP_OVERRIDE", "tiny")
-        with pytest.raises(ConfigError):
-            run_ion_sweep(ion_config(lindblad=True))
