@@ -1,11 +1,12 @@
 """Quantum Zeno effect: closed forms, decoherence limits, and a dissipative
 three-level simulator with a brute-force oracle for every closed form."""
 
-from .config import RunConfig, ScheduleParams, parse_config
+from .config import RunConfig, parse_config
 from .dynamics import (
     IonConfig,
     LindbladConfig,
     PulseSchedule,
+    ScheduleParams,
     apply_projection,
     evolve_bloch,
     integrate_lindblad,

@@ -10,49 +10,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .dynamics import ScheduleParams
+from .errors import ConfigError, check_count
 from .neutron import NeutronConfig
 
-_ALLOWED_KEYS = {
-    "ion": ("omega", "tau_sp"),
-    "schedule": (
-        "pulse_duration_fraction",
-        "pulse_area",
-        "rf_during_pulse",
-        "integrator_step",
-    ),
-    "neutron": (
-        "delta_e_m",
-        "delta_e_k",
-        "mu",
-        "b_field",
-        "length_l",
-        "v0",
-        "delta_v",
-        "mass",
-        "delta_x",
-    ),
-    "sweep": ("n_list", "lindblad"),
-    "output": ("format", "path"),
-}
-
 _FORMATS = ("csv", "json")
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Optical measurement-pulse knobs shared by all rows of a sweep.
-
-    Pulses last ``pulse_duration_fraction`` of the measurement spacing and
-    carry ``pulse_area`` on the optical transition (pi by default).
-    """
-
-    pulse_duration_fraction: float = 0.025
-    pulse_area: float = math.pi
-    rf_during_pulse: bool = True
-    integrator_step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +45,7 @@ class RunConfig:
     def require_n_list(self) -> tuple[int, ...]:
         if self.n_list is None:
             raise ConfigError("n_list is required (config [sweep] or --n-list)", field="sweep.n_list")
-        return tuple(sorted(set(self.n_list)))
+        return tuple(sorted({check_count(n, "sweep.n_list") for n in self.n_list}))
 
 
 def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]:
@@ -111,6 +75,13 @@ def _positive_float(raw: str, field_name: str) -> float:
     return value
 
 
+def _fraction(raw: str, field_name: str) -> float:
+    value = _positive_float(raw, field_name)
+    if not value < 1:
+        raise ConfigError("must be < 1", field=field_name)
+    return value
+
+
 def _boolean(raw: str, field_name: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -118,6 +89,32 @@ def _boolean(raw: str, field_name: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"not a boolean: {raw!r}", field=field_name)
+
+
+def _out_format(raw: str, field_name: str) -> str:
+    value = raw.strip().lower()
+    if value not in _FORMATS:
+        raise ConfigError(f"must be one of {_FORMATS}, got {value!r}", field=field_name)
+    return value
+
+
+#: section -> key -> (field it sets, converter(raw, dotted name)).  Values are
+#: converted in this order, so it decides which of several faults is reported;
+#: [schedule] and [neutron] build the RunConfig field named after them, the
+#: other sections set RunConfig fields directly.
+_TABLE = {
+    "ion": {"omega": ("ion_omega", _positive_float), "tau_sp": ("ion_tau_sp", _positive_float)},
+    "schedule": {
+        "pulse_duration_fraction": ("pulse_duration_fraction", _fraction),
+        "pulse_area": ("pulse_area", _positive_float),
+        "rf_during_pulse": ("rf_during_pulse", _boolean),
+        "integrator_step": ("integrator_step", _positive_float),
+    },
+    "neutron": {f.name: (f.name, _positive_float) for f in fields(NeutronConfig)},
+    "sweep": {"n_list": ("n_list", parse_n_list), "lindblad": ("lindblad", _boolean)},
+    "output": {"format": ("out_format", _out_format), "path": ("out_path", lambda raw, _: raw.strip())},
+}
+_NESTED = {"schedule": ScheduleParams, "neutron": NeutronConfig}
 
 
 def parse_config(path) -> RunConfig:
@@ -141,81 +138,24 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"malformed config file: {exc}", field=str(path)) from exc
 
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _TABLE:
             raise ConfigError("unknown section", field=section)
         for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
+            if key not in _TABLE[section]:
                 raise ConfigError("unknown key", field=f"{section}.{key}")
 
-    ion_omega = ion_tau_sp = None
-    if parser.has_section("ion"):
-        ion = parser["ion"]
-        if "omega" in ion:
-            ion_omega = _positive_float(ion["omega"], "ion.omega")
-        if "tau_sp" in ion:
-            ion_tau_sp = _positive_float(ion["tau_sp"], "ion.tau_sp")
-
-    schedule = ScheduleParams()
-    if parser.has_section("schedule"):
-        sched = parser["schedule"]
-        fraction = schedule.pulse_duration_fraction
-        if "pulse_duration_fraction" in sched:
-            fraction = _positive_float(
-                sched["pulse_duration_fraction"], "schedule.pulse_duration_fraction"
-            )
-            if not fraction < 1:
-                raise ConfigError(
-                    "must be < 1", field="schedule.pulse_duration_fraction"
-                )
-        area = schedule.pulse_area
-        if "pulse_area" in sched:
-            area = _positive_float(sched["pulse_area"], "schedule.pulse_area")
-        rf_on = schedule.rf_during_pulse
-        if "rf_during_pulse" in sched:
-            rf_on = _boolean(sched["rf_during_pulse"], "schedule.rf_during_pulse")
-        step = schedule.integrator_step
-        if "integrator_step" in sched:
-            step = _positive_float(sched["integrator_step"], "schedule.integrator_step")
-        schedule = ScheduleParams(fraction, area, rf_on, step)
-
-    neutron = None
-    if parser.has_section("neutron"):
-        kwargs = {
-            key: _positive_float(parser["neutron"][key], f"neutron.{key}")
-            for key in _ALLOWED_KEYS["neutron"]
-            if key in parser["neutron"]
+    run = {}
+    for section, keys in _TABLE.items():
+        if not parser.has_section(section):
+            continue
+        raw = parser[section]
+        values = {
+            name: convert(raw[key], f"{section}.{key}")
+            for key, (name, convert) in keys.items()
+            if key in raw
         }
-        neutron = NeutronConfig(**kwargs)
-
-    n_list = None
-    lindblad = False
-    if parser.has_section("sweep"):
-        swp = parser["sweep"]
-        if "n_list" in swp:
-            n_list = parse_n_list(swp["n_list"])
-        if "lindblad" in swp:
-            lindblad = _boolean(swp["lindblad"], "sweep.lindblad")
-
-    out_format = "csv"
-    out_path = None
-    if parser.has_section("output"):
-        out = parser["output"]
-        if "format" in out:
-            out_format = out["format"].strip().lower()
-            if out_format not in _FORMATS:
-                raise ConfigError(
-                    f"must be one of {_FORMATS}, got {out_format!r}", field="output.format"
-                )
-        if "path" in out:
-            out_path = out["path"].strip()
-
-    return RunConfig(
-        ion_omega=ion_omega,
-        ion_tau_sp=ion_tau_sp,
-        schedule=schedule,
-        neutron=neutron,
-        n_list=n_list,
-        lindblad=lindblad,
-        out_format=out_format,
-        out_path=out_path,
-    )
+        if section in _NESTED:
+            run[section] = _NESTED[section](**values)
+        else:
+            run.update(values)
+    return RunConfig(**run)

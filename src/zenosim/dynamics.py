@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, InvalidStateError
+from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
 from .states import BlochVector, as_density
 
 #: Trace drift tolerated along a stored trajectory.
@@ -69,13 +69,27 @@ class IonConfig:
             raise ConfigError("must be finite and > 0", field="ion.omega")
         if not (math.isfinite(self.tau_sp) and self.tau_sp > 0):
             raise ConfigError("must be finite and > 0", field="ion.tau_sp")
-        if not (isinstance(self.n_pulses, int) and self.n_pulses >= 1):
-            raise ConfigError("must be an integer >= 1", field="ion.n_pulses")
+        object.__setattr__(self, "n_pulses", check_count(self.n_pulses, "ion.n_pulses"))
 
     @property
     def t_pi(self) -> float:
         """Duration of the population-inverting drive pulse, pi/omega."""
         return math.pi / self.omega
+
+
+@dataclass(frozen=True)
+class ScheduleParams:
+    """Optical measurement-pulse knobs shared by all rows of a sweep.
+
+    Pulses last ``pulse_duration_fraction`` of the measurement spacing and
+    carry ``pulse_area`` on the optical transition (pi by default).  These
+    defaults are also those of :meth:`PulseSchedule.equispaced`.
+    """
+
+    pulse_duration_fraction: float = 0.025
+    pulse_area: float = math.pi
+    rf_during_pulse: bool = True
+    integrator_step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +134,9 @@ class PulseSchedule:
     def equispaced(
         cls,
         ion: IonConfig,
-        duration_fraction: float = 0.025,
-        pulse_area: float = math.pi,
-        rf_during_pulse: bool = True,
+        duration_fraction: float = ScheduleParams.pulse_duration_fraction,
+        pulse_area: float = ScheduleParams.pulse_area,
+        rf_during_pulse: bool = ScheduleParams.rf_during_pulse,
     ) -> "PulseSchedule":
         """Build the schedule tau_k = k T / N for ``ion``.
 
@@ -147,21 +161,15 @@ class PulseSchedule:
 class LindbladConfig:
     """Full three-level integration setup.
 
-    ``gamma`` defaults to 1/tau_sp and must stay consistent with it;
     ``integrator_step`` defaults to 1/``_STEP_MARGIN`` of the fastest
     timescale and may only be made smaller.
     """
 
     ion: IonConfig
     schedule: PulseSchedule | None = None
-    gamma: float = field(default=None)  # type: ignore[assignment]
     integrator_step: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 1.0 / self.ion.tau_sp)
-        if abs(self.gamma * self.ion.tau_sp - 1.0) > 1e-12:
-            raise ConfigError("gamma must equal 1/tau_sp", field="lindblad.gamma")
         if self.schedule is not None:
             t_end = self.schedule.measurement_times[-1]
             if abs(t_end - self.ion.t_pi) > 1e-12 * self.ion.t_pi:
@@ -178,11 +186,14 @@ class LindbladConfig:
                 field="lindblad.integrator_step",
             )
 
+    @property
+    def gamma(self) -> float:
+        """Decay rate of the measurement level, 1/tau_sp."""
+        return 1.0 / self.ion.tau_sp
+
     def max_step(self) -> float:
         """Largest admissible step: fastest timescale over ``_STEP_MARGIN``."""
-        scales = [1.0 / self.ion.omega]
-        if self.gamma > 0:
-            scales.append(1.0 / self.gamma)
+        scales = [1.0 / self.ion.omega, 1.0 / self.gamma]
         if self.schedule is not None:
             scales.append(1.0 / self.schedule.optical_rabi)
         return min(scales) / _STEP_MARGIN

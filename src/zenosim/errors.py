@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the measurement-count check."""
+
+import operator
 
 
 class ZenoSimError(Exception):
@@ -13,7 +15,7 @@ class NonphysicalStateError(ZenoSimError):
     """A Bloch vector lies outside the unit ball beyond tolerance."""
 
 
-class ConfigError(ZenoSimError):
+class ConfigError(ZenoSimError, ValueError):
     """A configuration value or file is invalid.
 
     ``field`` holds a dotted path such as ``"schedule.pulse_area"`` when the
@@ -23,6 +25,17 @@ class ConfigError(ZenoSimError):
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+def check_count(n, field: str = "n") -> int:
+    """Measurement count ``n`` as a Python int; any integer type but ``bool`` passes."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = 0
+    if isinstance(n, bool) or value < 1:
+        raise ConfigError(f"must be an integer >= 1, got {n!r}", field=field)
+    return value
 
 
 class IntegrationError(ZenoSimError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .dynamics import IonConfig, apply_projection, evolve_bloch
-from .errors import BoundViolationError
+from .errors import BoundViolationError, check_count
 from .states import BlochVector, bloch_from_density, density_from_bloch
 
 #: Absolute agreement demanded of the three-level simulation against the
@@ -25,25 +25,23 @@ LINDBLAD_AGREEMENT_TOL = 0.05
 
 
 def _guarded_floor(ratio: float) -> int:
-    # One-ulp guard so ratios that are exact integers in real arithmetic do
-    # not floor to n-1 after rounding.
-    return math.floor(ratio * (1.0 + 1e-12))
-
-
-def _check_n(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
+    # A ratio that is an integer k in real arithmetic arrives as pi/(pi/k),
+    # two roundings, so it may sit up to ~1.5 ulps under k.  Bump to the next
+    # integer only within 2 ulps: a 4-ulp guard would turn k + 1/2 into k + 1
+    # near 1e15, where an ulp is 1/8.  A ratio that is already an integer stays.
+    n = math.floor(ratio)
+    return n + 1 if n < ratio and n + 1 - ratio <= 2 * math.ulp(n + 1) else n
 
 
 def p2_closed_form(n: int) -> float:
     """Upper-level probability after n projective measurements, [1 - cos^n(pi/n)]/2."""
-    _check_n(n)
+    n = check_count(n)
     return (1.0 - math.cos(math.pi / n) ** n) / 2.0
 
 
 def p2_asymptotic(n: int) -> float:
     """Large-n exponential form of :func:`p2_closed_form`, (1 - exp(-pi^2/2n))/2."""
-    _check_n(n)
+    n = check_count(n)
     return (1.0 - math.exp(-math.pi**2 / (2.0 * n))) / 2.0
 
 
@@ -86,7 +84,7 @@ def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:
     Equals :func:`p2_closed_form` while n <= :func:`n_max`; for larger n the
     angle sticks at its lower bound and the value saturates at one half.
     """
-    _check_n(n)
+    n = check_count(n)
     theta = max(math.pi / n, cfg.omega * cfg.tau_sp)
     return (1.0 - math.cos(theta) ** n) / 2.0
 
@@ -97,6 +95,6 @@ def p2_decoherence_asymptotic(n: int, cfg: IonConfig) -> float:
     (1 - exp(-(omega*tau_sp)^2 n / 2))/2; a small-angle approximation, kept
     as a diagnostic because the two forms differ at moderate n.
     """
-    _check_n(n)
+    n = check_count(n)
     product = cfg.omega * cfg.tau_sp
     return (1.0 - math.exp(-(product**2) * n / 2.0)) / 2.0

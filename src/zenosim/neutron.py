@@ -15,16 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundViolationError, ConfigError
+from .errors import BoundViolationError, ConfigError, check_count
 from .ion import _guarded_floor
-
-
-def _consistent(given: float, derived: float, name: str) -> None:
-    if abs(given - derived) > 1e-12 * max(abs(given), abs(derived)):
-        raise ConfigError(
-            f"value {given:.12g} disagrees with the raw-input value {derived:.12g}",
-            field=name,
-        )
 
 
 @dataclass(frozen=True)
@@ -50,32 +42,28 @@ class NeutronConfig:
     delta_x: float | None = None
 
     def __post_init__(self):
-        if self.mu is not None and self.b_field is not None:
-            raw = 2.0 * self.mu * self.b_field
-            if self.delta_e_m is None:
-                object.__setattr__(self, "delta_e_m", raw)
-            else:
-                _consistent(self.delta_e_m, raw, "neutron.delta_e_m")
-        if self.mass is not None and self.v0 is not None and self.delta_v is not None:
-            raw = self.mass * self.v0 * self.delta_v
-            if self.delta_e_k is None:
-                object.__setattr__(self, "delta_e_k", raw)
-            else:
-                _consistent(self.delta_e_k, raw, "neutron.delta_e_k")
-        if self.delta_e_m is None or not (
-            math.isfinite(self.delta_e_m) and self.delta_e_m > 0
-        ):
-            raise ConfigError(
-                "must be finite and > 0 (give it or mu and b_field)",
-                field="neutron.delta_e_m",
-            )
-        if self.delta_e_k is None or not (
-            math.isfinite(self.delta_e_k) and self.delta_e_k > 0
-        ):
-            raise ConfigError(
-                "must be finite and > 0 (give it or mass, v0 and delta_v)",
-                field="neutron.delta_e_k",
-            )
+        # energy -> (the raw inputs whose product it is, how to name them)
+        raw_inputs = {
+            "delta_e_m": ((2.0, self.mu, self.b_field), "mu and b_field"),
+            "delta_e_k": ((self.mass, self.v0, self.delta_v), "mass, v0 and delta_v"),
+        }
+        for name, (factors, _) in raw_inputs.items():
+            if None in factors:
+                continue
+            given, raw = getattr(self, name), math.prod(factors)
+            if given is None:
+                object.__setattr__(self, name, raw)
+            elif abs(given - raw) > 1e-12 * max(abs(given), abs(raw)):
+                raise ConfigError(
+                    f"value {given:.12g} disagrees with the raw-input value {raw:.12g}",
+                    field=f"neutron.{name}",
+                )
+        for name, (_, inputs) in raw_inputs.items():
+            value = getattr(self, name)
+            if value is None or not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"must be finite and > 0 (give it or {inputs})", field=f"neutron.{name}"
+                )
 
     def traversal_angle(self) -> float:
         """Spin rotation mu*B*l/v0 across one field region (the ideal pi/2N)."""
@@ -86,21 +74,14 @@ class NeutronConfig:
         return self.mu * self.b_field * self.length_l / self.v0
 
 
-def _check_n(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError("n must be an integer >= 1")
-
-
 def p_up_ideal(n: int) -> float:
     """Survival probability [cos^2(pi/2n)]^n after n ideal measurements."""
-    _check_n(n)
+    n = check_count(n)
     return math.cos(math.pi / (2.0 * n)) ** (2 * n)
 
 
 def phi_zero(cfg: NeutronConfig) -> float:
     """Lower bound on the per-measurement angle, dE_m / (4 dE_k)."""
-    if not cfg.delta_e_m > 0 or not cfg.delta_e_k > 0:
-        raise ValueError("energies must be positive")
     return cfg.delta_e_m / (4.0 * cfg.delta_e_k)
 
 
@@ -110,7 +91,7 @@ def p_up_limited(n: int, phi0: float) -> float:
     Equals :func:`p_up_ideal` while pi/2n >= phi0; for larger n the angle
     sticks at phi0 and the survival decays like exp(-phi0^2 n).
     """
-    _check_n(n)
+    n = check_count(n)
     if not 0.0 < phi0 < math.pi / 2.0:
         raise ValueError("phi0 must lie in (0, pi/2)")
     phi = max(math.pi / (2.0 * n), phi0)
@@ -119,7 +100,7 @@ def p_up_limited(n: int, phi0: float) -> float:
 
 def p_up_limited_asymptotic(n: int, phi0: float) -> float:
     """Small-angle exponential exp(-phi0^2 n); diagnostic only."""
-    _check_n(n)
+    n = check_count(n)
     if not 0.0 < phi0 < math.pi / 2.0:
         raise ValueError("phi0 must lie in (0, pi/2)")
     return math.exp(-(phi0**2) * n)

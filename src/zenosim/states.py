@@ -8,8 +8,8 @@ Bloch vector (r1, r2, r3) with
     r3 = rho_22 - rho_11,
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
-All tolerances used by the validity checks are module constants so the test
-suite and the dynamics code share a single source of truth.
+The tolerances below govern the two-level maps; the thresholds applied along
+integrated trajectories are ``dynamics``' own ``TRAJECTORY_*`` constants.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .errors import InvalidStateError, NonphysicalStateError
 
 #: Max allowed |rho - rho^dagger| entry for a state accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
-#: Max allowed |tr(rho) - 1| after any evolution step.
-TRACE_TOL = 1e-10
-#: Most negative eigenvalue tolerated before a state counts as non-positive.
-MIN_EIG_TOL = 1e-9
 #: Max allowed excess of a Bloch vector norm over 1.
 BLOCH_NORM_TOL = 1e-10
 #: Agreement required of the density <-> Bloch round trip, per component.

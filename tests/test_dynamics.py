@@ -152,10 +152,16 @@ class TestConfigs:
         dict(omega=1.0, tau_sp=1.0, n_pulses=0),
         dict(omega=math.inf, tau_sp=1.0, n_pulses=1),
         dict(omega=1.0, tau_sp=math.nan, n_pulses=1),
+        dict(omega=1.0, tau_sp=1.0, n_pulses=True),
+        dict(omega=1.0, tau_sp=1.0, n_pulses=np.int64(0)),
     ])
     def test_bad_ion_config(self, kwargs):
         with pytest.raises(ConfigError):
             IonConfig(**kwargs)
+
+    def test_numpy_count_becomes_int(self):
+        n = IonConfig(1.0, 1.0, np.int64(4)).n_pulses
+        assert n == 4 and type(n) is int
 
     def test_non_finite_schedule_rejected(self):
         with pytest.raises(ConfigError):
@@ -179,7 +185,7 @@ class TestConfigs:
     def test_gamma_must_match_lifetime(self):
         ion = IonConfig(1.0, 0.5, 1)
         assert LindbladConfig(ion).gamma == pytest.approx(2.0, rel=1e-15)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             LindbladConfig(ion, gamma=3.0)
 
     def test_step_bound_enforced(self):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zenosim import (
@@ -36,10 +37,14 @@ class TestClosedForm:
         values = [p2_closed_form(n) for n in range(2, 2049)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, True, np.int64(0), 4.0])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             p2_closed_form(bad)
+
+    def test_numpy_count_bit_identical(self):
+        assert p2_closed_form(np.int64(4)) == p2_closed_form(4)
+        assert p2_asymptotic(np.int32(7)) == p2_asymptotic(7)
 
 
 class TestAsymptotic:
@@ -88,6 +93,14 @@ class TestNMax:
 
     def test_floor_of_non_integer(self):
         assert n_max(ion_with_product(math.pi / 5.5)) == 5
+
+    @pytest.mark.parametrize("ratio,expected", [
+        (1e6, 10**6), (1e13, 10**13), (1e13 - 0.5, 10**13 - 1), (1e15, 10**15),
+        (2.0**53, 2**53),
+    ])
+    def test_large_ratios_exact(self, ratio, expected):
+        # a relative guard over-counted here: 10**13 + 10 at a ratio of 1e13
+        assert n_max(ion_with_product(math.pi / ratio)) == expected
 
     def test_beyond_pi_rejected(self):
         with pytest.raises(BoundViolationError):

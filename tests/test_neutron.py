@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zenosim import (
@@ -38,8 +39,13 @@ class TestPUpIdeal:
         assert values[-1] < 1.0
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            p_up_ideal(0)
+        for bad in (0, True, np.int64(0)):
+            with pytest.raises(ValueError):
+                p_up_ideal(bad)
+
+    def test_numpy_count_bit_identical(self):
+        assert p_up_ideal(np.int64(4)) == p_up_ideal(4)
+        assert p_up_limited(np.int64(40), 0.1) == p_up_limited(40, 0.1)
 
     def test_complements_ion_closed_form(self):
         # same cos^n algebra in both families: surviving spin-up probability
@@ -134,6 +140,13 @@ class TestPUpLimited:
 class TestNeutronNMax:
     def test_exact_ratio(self):
         assert neutron_n_max(config_with_phi0(math.pi / 32)) == 16
+
+    @pytest.mark.parametrize("ratio,expected", [
+        (1e6, 10**6), (1e13, 10**13), (1e13 - 0.5, 10**13 - 1), (1e15, 10**15),
+        (2.0**53, 2**53),
+    ])
+    def test_large_ratios_exact(self, ratio, expected):
+        assert neutron_n_max(config_with_phi0(math.pi / (2 * ratio))) == expected
 
     def test_tenth_radian(self):
         cfg = config_with_phi0(0.1)

@@ -1,8 +1,10 @@
 """Tests for sweeps, emission formats, and the runner config layer."""
 
 import io
+import json
 import math
 
+import numpy as np
 import pytest
 
 from zenosim import (
@@ -56,6 +58,16 @@ class TestIonSweep:
         # omega*tau_sp = 0.1 admits floor(pi/0.1) = 31 measurements
         assert result.metadata["n_max"] == 31
         assert flags == {1: "valid", 31: "valid", 32: "ill-defined", 100: "ill-defined"}
+
+    def test_numpy_counts_emit_like_ints(self):
+        tables = []
+        for counts in ((1, 2, 4), tuple(np.int64(n) for n in (4, 2, 1))):
+            buffer = io.StringIO()
+            emit(run_ion_sweep(ion_config(n_list=counts)), format="json", destination=buffer)
+            tables.append(json.loads(buffer.getvalue())["rows"])
+        assert tables[0] == tables[1]
+        with pytest.raises(ConfigError, match="sweep.n_list"):
+            run_ion_sweep(ion_config(n_list=(True, 2)))
 
     def test_empty_sweep_keeps_metadata(self):
         result = run_ion_sweep(ion_config(n_list=()))
