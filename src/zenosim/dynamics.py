@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
-from .states import BlochVector, as_density
+from .states import BlochVector, as_density, min_eigenvalue
 
 #: Trace drift tolerated along a stored trajectory.
 TRAJECTORY_TRACE_TOL = 1e-9
@@ -162,7 +162,7 @@ class LindbladConfig:
     """Full three-level integration setup.
 
     ``integrator_step`` defaults to 1/``_STEP_MARGIN`` of the fastest
-    timescale and may only be made smaller.
+    timescale and may only be made smaller, to a finite count over t_pi.
     """
 
     ion: IonConfig
@@ -185,6 +185,8 @@ class LindbladConfig:
                 f"must be in (0, {bound:.6g}] to resolve the fastest timescale",
                 field="lindblad.integrator_step",
             )
+        if not math.isfinite(self.ion.t_pi / self.integrator_step):
+            raise ConfigError("gives no finite step count over t_pi", field="lindblad.integrator_step")
 
     @property
     def gamma(self) -> float:
@@ -300,7 +302,7 @@ def _validate_block(times: list[float], states: np.ndarray) -> None:
     positive = _positive_definite(herm_part + TRAJECTORY_MIN_EIG_TOL * np.eye(3))
     if not positive.all():
         i = int(np.argmin(positive))
-        low = np.linalg.eigvalsh(herm_part[i])[0]
+        low = min_eigenvalue(herm_part[i])
         raise IntegrationError(f"state lost positivity (min eig {low:.3e})", time=times[i])
     if stop < len(states):
         if not herm[stop] <= TRAJECTORY_HERMITICITY_TOL:

@@ -24,7 +24,10 @@ from .states import BlochVector, bloch_from_density, density_from_bloch
 LINDBLAD_AGREEMENT_TOL = 0.05
 
 
-def _guarded_floor(ratio: float) -> int:
+def _guarded_floor(top: float, bottom: float) -> int:
+    ratio = top / bottom if bottom else math.inf
+    if ratio == math.inf:
+        raise BoundViolationError(f"bound {top:.6g}/{bottom:.6g} is not a finite count")
     # A ratio that is an integer k in real arithmetic arrives as pi/(pi/k),
     # two roundings, so it may sit up to ~1.5 ulps under k.  Bump to the next
     # integer only within 2 ulps: a 4-ulp guard would turn k + 1/2 into k + 1
@@ -68,14 +71,14 @@ def n_max(cfg: IonConfig) -> int:
     Raises
     ------
     BoundViolationError
-        If omega * tau_sp > pi, where not even one measurement fits.
+        If omega * tau_sp > pi (no measurement fits) or underflows to 0.
     """
     product = cfg.omega * cfg.tau_sp
     if product > math.pi:
         raise BoundViolationError(
             f"omega*tau_sp = {product:.6g} exceeds pi; no valid measurement count"
         )
-    return _guarded_floor(math.pi / product)
+    return _guarded_floor(math.pi, product)
 
 
 def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:

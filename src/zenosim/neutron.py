@@ -112,11 +112,11 @@ def neutron_n_max(cfg: NeutronConfig) -> int:
     Raises
     ------
     BoundViolationError
-        If phi0 > pi/2, where not even one measurement fits.
+        If phi0 > pi/2 (no measurement fits) or underflows to 0.
     """
     phi0 = phi_zero(cfg)
     if phi0 > math.pi / 2.0:
         raise BoundViolationError(
             f"phi0 = {phi0:.6g} exceeds pi/2; no valid measurement count"
         )
-    return _guarded_floor(math.pi / (2.0 * phi0))
+    return _guarded_floor(math.pi, 2.0 * phi0)

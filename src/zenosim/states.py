@@ -44,7 +44,8 @@ class Diagnostics(NamedTuple):
     """Residues reported by :func:`validate_density`.
 
     The caller decides pass/fail against whatever tolerances apply in its
-    context; this function never raises.
+    context; this function never raises.  A state with a non-finite entry
+    reports ``min_eigenvalue`` NaN, which fails any tolerance check.
     """
 
     hermiticity_residue: float
@@ -62,42 +63,9 @@ def as_density(entries) -> np.ndarray:
     return rho
 
 
-def _eigvals_herm2(rho: np.ndarray) -> tuple[float, float]:
-    # Closed form for a 2x2 Hermitian matrix: mean +/- radius.
-    mean = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    radius = math.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-    return mean - radius, mean + radius
-
-
-def _eigvals_herm3(rho: np.ndarray) -> tuple[float, float, float]:
-    # Trigonometric solution of the characteristic cubic of a 3x3 Hermitian
-    # matrix; avoids a general eigensolver for this fixed small dimension.
-    a, b, c = rho[0, 0].real, rho[1, 1].real, rho[2, 2].real
-    p1 = abs(rho[0, 1]) ** 2 + abs(rho[0, 2]) ** 2 + abs(rho[1, 2]) ** 2
-    if p1 == 0.0:
-        lo, mid, hi = sorted((a, b, c))
-        return lo, mid, hi
-    q = (a + b + c) / 3.0
-    p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    bmat = (rho - q * np.eye(3)) / p
-    det = (
-        bmat[0, 0] * (bmat[1, 1] * bmat[2, 2] - bmat[1, 2] * bmat[2, 1])
-        - bmat[0, 1] * (bmat[1, 0] * bmat[2, 2] - bmat[1, 2] * bmat[2, 0])
-        + bmat[0, 2] * (bmat[1, 0] * bmat[2, 1] - bmat[1, 1] * bmat[2, 0])
-    )
-    r = max(-1.0, min(1.0, det.real / 2.0))
-    phi = math.acos(r) / 3.0
-    hi = q + 2.0 * p * math.cos(phi)
-    lo = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return lo, 3.0 * q - hi - lo, hi
-
-
 def min_eigenvalue(rho: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian 2x2 or 3x3 matrix, in closed form."""
-    if rho.shape == (2, 2):
-        return _eigvals_herm2(rho)[0]
-    return _eigvals_herm3(rho)[0]
+    """Smallest eigenvalue of a Hermitian matrix by ``np.linalg.eigvalsh``; NaN if not finite."""
+    return float(np.linalg.eigvalsh(rho)[0]) if np.isfinite(rho).all() else math.nan
 
 
 def validate_density(rho) -> Diagnostics:
@@ -116,9 +84,10 @@ def validate_density(rho) -> Diagnostics:
         smallest eigenvalue of the Hermitian part of ``rho``.
     """
     rho = as_density(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = abs(complex(rho.trace()) - 1.0)
-    sym = 0.5 * (rho + rho.conj().T)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN residue, not a warning
+        herm = float(np.max(np.abs(rho - rho.conj().T)))
+        trace = abs(complex(rho.trace()) - 1.0)
+        sym = 0.5 * (rho + rho.conj().T)
     return Diagnostics(herm, trace, min_eigenvalue(sym))
 
 

@@ -154,7 +154,7 @@ def _format_value(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     if not math.isfinite(value):
         return str(value)

@@ -85,6 +85,13 @@ class TestIonCommand:
         target = tmp_path / "no" / "dir" / "out.csv"
         assert main(["ion", "--config", str(ion_cfg), "--out", str(target)]) == 1
 
+    def test_underflowing_bound_exit_code(self, tmp_path, capsys):
+        # omega * tau_sp underflows to 0, so pi / (omega * tau_sp) has no finite floor
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[ion]\nomega = 1e-200\ntau_sp = 1e-200\n\n[sweep]\nn_list = 1\n")
+        assert main(["ion", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: bound ")
+
 
 class TestNeutronCommand:
     def test_table(self, neutron_cfg, capsys):
@@ -93,6 +100,15 @@ class TestNeutronCommand:
         assert lines[0] == "n,p_up_ideal,p_up_limited,regime_flag"
         assert len(lines) == 4
         assert lines[3].startswith("15,")
+
+    def test_underflowing_bound_exit_code(self, tmp_path, capsys):
+        # phi0 = dE_m / (4 dE_k) underflows to 0
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[neutron]\ndelta_e_m = 1e-300\ndelta_e_k = 1e300\n\n[sweep]\nn_list = 1\n"
+        )
+        assert main(["neutron", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: bound ")
 
 
 class TestValidateCommand:
@@ -125,3 +141,12 @@ class TestLindbladCheckCommand:
         # closed form no longer applies
         cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 1.5\n")
         assert main(["lindblad-check", "--config", str(cfg), "--n-list", "4"]) == 2
+
+    def test_infinite_step_count_rejected(self, tmp_path, capsys):
+        # t_pi = pi / 1e-200 over a step of tau_sp / 20 is an infinite step count
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[ion]\nomega = 1e-200\ntau_sp = 1e-200\n")
+        assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lindblad.integrator_step")
+        assert len(err.splitlines()) == 1

@@ -104,9 +104,18 @@ class TestValidateDensity:
         rho = np.diag([1.2, -0.2]).astype(complex)
         assert validate_density(rho).min_eigenvalue == pytest.approx(-0.2, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "rho",
+        [np.diag([1.0, 0.0, np.nan]), np.diag([np.inf, 0.0, 0.0]), np.full((3, 3), np.nan)],
+        ids=["nan-diagonal", "inf-diagonal", "all-nan"],
+    )
+    def test_non_finite_reports_nan(self, rho):
+        # eigvalsh would raise here; a 0.0 would let an eigenvalue-only check pass.
+        assert np.isnan(validate_density(rho).min_eigenvalue)
+
 
 class TestClosedFormEigenvalues:
-    """The closed-form minimum eigenvalue must match a full eigensolver."""
+    """The minimum eigenvalue must match a full eigensolver and be ~0 at rank deficiency."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_against_lapack(self, dim):
@@ -122,3 +131,15 @@ class TestClosedFormEigenvalues:
 
     def test_degenerate_spectrum(self):
         assert min_eigenvalue(np.eye(3, dtype=complex) / 3) == pytest.approx(1 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_states(self, rank):
+        # U diag(p) U^dagger with 3 - rank zero weights has exact minimum 0.
+        rng = np.random.default_rng(7 + rank)
+        for _ in range(200):
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            unitary, _ = np.linalg.qr(a)
+            weights = np.zeros(3)
+            weights[:rank] = rng.dirichlet(np.ones(rank))
+            rho = (unitary * weights) @ unitary.conj().T
+            assert abs(validate_density(rho).min_eigenvalue) < 1e-14
