@@ -25,7 +25,6 @@ from .ion import (
     n_max,
     p2_asymptotic,
     p2_closed_form,
-    p2_decoherence_asymptotic,
     p2_decoherence_limited,
     simulate_projective_sequence,
 )
@@ -34,7 +33,6 @@ from .neutron import (
     neutron_n_max,
     p_up_ideal,
     p_up_limited,
-    p_up_limited_asymptotic,
     phi_zero,
 )
 from .states import (
@@ -88,11 +86,9 @@ __all__ = [
     "neutron_n_max",
     "p2_asymptotic",
     "p2_closed_form",
-    "p2_decoherence_asymptotic",
     "p2_decoherence_limited",
     "p_up_ideal",
     "p_up_limited",
-    "p_up_limited_asymptotic",
     "phi_zero",
     "populations",
     "run_ion_sweep",

@@ -3,7 +3,7 @@
 ``p2_closed_form`` gives the upper-level population after N projective
 measurements during an inversion pulse, (1 - cos^N(pi/N))/2, and
 ``simulate_projective_sequence`` recomputes it by brute force from the Bloch
-rotation and the projection map.  The decoherence-limited variants clamp the
+rotation and the projection map.  The decoherence-limited variant clamps the
 per-interval rotation angle from below at omega * tau_sp, the smallest angle
 compatible with the measurement level's finite lifetime: beyond
 ``n_max`` measurements the closed form saturates at one half instead of
@@ -91,13 +91,3 @@ def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:
     theta = max(math.pi / n, cfg.omega * cfg.tau_sp)
     return (1.0 - math.cos(theta) ** n) / 2.0
 
-
-def p2_decoherence_asymptotic(n: int, cfg: IonConfig) -> float:
-    """Exponential companion of :func:`p2_decoherence_limited` for large n.
-
-    (1 - exp(-(omega*tau_sp)^2 n / 2))/2; a small-angle approximation, kept
-    as a diagnostic because the two forms differ at moderate n.
-    """
-    n = check_count(n)
-    product = cfg.omega * cfg.tau_sp
-    return (1.0 - math.exp(-(product**2) * n / 2.0)) / 2.0

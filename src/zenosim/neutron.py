@@ -4,10 +4,6 @@ The ideal survival probability after n measurements is [cos^2(pi/2n)]^n and
 tends to one.  Beam uncertainties put a floor phi0 = dE_m / (4 dE_k) under
 the per-measurement rotation angle, so the limited form falls to zero for
 large n instead; the crossover count is ``neutron_n_max``.
-
-The exact-cosine forms are primary.  ``p_up_limited_asymptotic`` keeps the
-small-angle exponential exp(-phi0^2 n) as a diagnostic; the two visibly
-disagree at moderate n.
 """
 
 from __future__ import annotations
@@ -65,14 +61,6 @@ class NeutronConfig:
                     f"must be finite and > 0 (give it or {inputs})", field=f"neutron.{name}"
                 )
 
-    def traversal_angle(self) -> float:
-        """Spin rotation mu*B*l/v0 across one field region (the ideal pi/2N)."""
-        if None in (self.mu, self.b_field, self.length_l, self.v0):
-            raise ConfigError(
-                "needs mu, b_field, length_l and v0", field="neutron.length_l"
-            )
-        return self.mu * self.b_field * self.length_l / self.v0
-
 
 def p_up_ideal(n: int) -> float:
     """Survival probability [cos^2(pi/2n)]^n after n ideal measurements."""
@@ -96,14 +84,6 @@ def p_up_limited(n: int, phi0: float) -> float:
         raise ValueError("phi0 must lie in (0, pi/2)")
     phi = max(math.pi / (2.0 * n), phi0)
     return math.cos(phi) ** (2 * n)
-
-
-def p_up_limited_asymptotic(n: int, phi0: float) -> float:
-    """Small-angle exponential exp(-phi0^2 n); diagnostic only."""
-    n = check_count(n)
-    if not 0.0 < phi0 < math.pi / 2.0:
-        raise ValueError("phi0 must lie in (0, pi/2)")
-    return math.exp(-(phi0**2) * n)
 
 
 def neutron_n_max(cfg: NeutronConfig) -> int:

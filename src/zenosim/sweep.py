@@ -8,7 +8,11 @@ so non-observation of its photons stops being a population measurement.
 
 Tables are emitted as CSV (fixed header, 12 significant digits, no
 metadata, byte-reproducible) or as JSON with a ``metadata``/``rows`` pair
-that round-trips through :func:`load_result`.
+that round-trips through :func:`load_result`.  Both read a row's values
+shallowly, from its ``vars``.  The JSON bytes are those of
+``json.dumps(..., indent=2)``, but each row is encoded in one call to the C
+encoder, whose separators lay a flat object out as ``indent=2`` does at
+depth 2; only the metadata goes through the indenting (pure-Python) encoder.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -56,7 +60,7 @@ class SweepResult:
 
     def columns(self) -> tuple[str, ...]:
         if self.rows:
-            return tuple(asdict(self.rows[0]).keys())
+            return tuple(vars(self.rows[0]))
         return tuple(self.metadata.get("columns", ()))
 
 
@@ -64,30 +68,35 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def lindblad_p2(ion: IonConfig, cfg: RunConfig) -> float:
-    """Upper-level population at the end of the drive pulse from the full model."""
+def lindblad_config(ion: IonConfig, cfg: RunConfig) -> LindbladConfig:
+    """The full model's setup for ``ion``: the equispaced schedule and step of ``cfg``."""
     sched = PulseSchedule.equispaced(
         ion,
         duration_fraction=cfg.schedule.pulse_duration_fraction,
         pulse_area=cfg.schedule.pulse_area,
         rf_during_pulse=cfg.schedule.rf_during_pulse,
     )
-    lcfg = LindbladConfig(ion, sched, integrator_step=cfg.schedule.integrator_step)
-    return final_state(lcfg, np.diag([1.0, 0.0, 0.0]))[1, 1].real
+    return LindbladConfig(ion, sched, integrator_step=cfg.schedule.integrator_step)
+
+
+def lindblad_p2(ion: IonConfig, cfg: RunConfig) -> float:
+    """Upper-level population at the end of the drive pulse from the full model."""
+    return final_state(lindblad_config(ion, cfg), np.diag([1.0, 0.0, 0.0]))[1, 1].real
 
 
 def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     """Tabulate the ion closed forms (and optionally the full model) over n."""
     omega, tau_sp = cfg.require_ion()
     n_list = cfg.require_n_list()
-    bound = n_max(IonConfig(omega, tau_sp, 1))
+    # n_max and the clamp read only omega * tau_sp, so one config serves every row.
+    base = IonConfig(omega, tau_sp, 1)
+    bound = n_max(base)
     rows = []
     for n in n_list:
-        ion = IonConfig(omega, tau_sp, n)
         p2_full = None
         if cfg.lindblad:
             try:
-                p2_full = lindblad_p2(ion, cfg)
+                p2_full = lindblad_p2(IonConfig(omega, tau_sp, n), cfg)
             except IntegrationError as exc:
                 raise IntegrationError(f"row n={n}: {exc.message}", time=exc.time) from exc
         rows.append(
@@ -95,7 +104,7 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
                 n=n,
                 p2_projection=p2_closed_form(n),
                 p2_asymptotic=p2_asymptotic(n),
-                p2_limited=p2_decoherence_limited(n, ion),
+                p2_limited=p2_decoherence_limited(n, base),
                 p2_lindblad=p2_full,
                 regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
             )
@@ -162,11 +171,24 @@ def _format_value(value) -> str:
 
 
 def _csv_lines(result: SweepResult) -> list[str]:
-    header = ",".join(result.columns())
-    lines = [header]
+    lines = [",".join(result.columns())]
     for row in result.rows:
-        lines.append(",".join(_format_value(v) for v in asdict(row).values()))
+        lines.append(",".join(_format_value(v) for v in vars(row).values()))
     return lines
+
+
+#: Encodes a flat row object as ``indent=2`` lays it out at depth 2, minus the braces.
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+
+
+def _json_text(result: SweepResult) -> str:
+    text = json.dumps({"metadata": result.metadata, "rows": []}, indent=2, allow_nan=False)
+    if not result.rows:
+        return text + "\n"
+    rows = ",\n".join(
+        "    {\n      " + _ROW_ENCODER.encode(vars(row))[1:-1] + "\n    }" for row in result.rows
+    )
+    return text[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
 def emit(result: SweepResult, format: str = "csv", destination=None) -> None:
@@ -174,8 +196,7 @@ def emit(result: SweepResult, format: str = "csv", destination=None) -> None:
     if format == "csv":
         text = "\n".join(_csv_lines(result)) + "\n"
     elif format == "json":
-        payload = {"metadata": result.metadata, "rows": [asdict(r) for r in result.rows]}
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = _json_text(result)
     else:
         raise ConfigError(f"unknown format {format!r}", field="output.format")
     if destination is None or destination == "-":

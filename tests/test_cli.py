@@ -1,9 +1,12 @@
 """Tests for the command-line runner."""
 
+import argparse
 import math
+from unittest import mock
 
 import pytest
 
+from zenosim import IonConfig, cli
 from zenosim.cli import main
 
 ION_HEADER = "n,p2_projection,p2_asymptotic,p2_limited,p2_lindblad,regime_flag"
@@ -150,3 +153,42 @@ class TestLindbladCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: lindblad.integrator_step")
         assert len(err.splitlines()) == 1
+
+    def test_bad_row_prints_nothing(self, tmp_path, capsys):
+        # every row's setup is checked before the header is printed
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[ion]\nomega = 1e-200\ntau_sp = 1e-200\n")
+        assert main(["lindblad-check", "--config", str(cfg)]) in (1, 2)
+        assert capsys.readouterr().out == ""
+
+    def test_step_count_limit_rejected_up_front(self, tmp_path, capsys):
+        # 6.3e13 RK4 steps would run for days; no integration may start
+        cfg = tmp_path / "fast_decay.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 1e-12\n")
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "6.28e+13 steps over t_pi, more than the limit 1e+08" in captured.err
+
+
+class TestFixedCosts:
+    """Work that a table pays once, not per row or per call."""
+
+    def test_one_ion_config_per_table(self, ion_cfg, capsys):
+        real = IonConfig.__post_init__
+        with mock.patch.object(IonConfig, "__post_init__", autospec=True, side_effect=real) as post:
+            counts = ",".join(map(str, range(1, 51)))
+            assert main(["ion", "--config", str(ion_cfg), "--n-list", counts]) == 0
+        assert post.call_count == 1
+        assert len(capsys.readouterr().out.splitlines()) == 51
+
+    def test_parser_built_once(self, ion_cfg, capsys):
+        real = argparse.ArgumentParser.__init__
+        cli._build_parser.cache_clear()
+        with mock.patch.object(
+            argparse.ArgumentParser, "__init__", autospec=True, side_effect=real
+        ) as init:
+            for _ in range(3):
+                assert main(["validate", "--config", str(ion_cfg)]) == 0
+        assert sum(c.kwargs.get("prog") == "zenosim" for c in init.call_args_list) == 1

@@ -21,6 +21,7 @@ from zenosim import (
     populations,
 )
 from zenosim.dynamics import (
+    MAX_STEPS,
     TRAJECTORY_HERMITICITY_TOL,
     TRAJECTORY_MIN_EIG_TOL,
     TRAJECTORY_TRACE_TOL,
@@ -193,6 +194,12 @@ class TestConfigs:
         bound = LindbladConfig(ion).max_step()
         with pytest.raises(ConfigError):
             LindbladConfig(ion, integrator_step=2 * bound)
+
+    def test_step_count_limit(self):
+        ion = IonConfig(1.0, 1.0, 1)
+        LindbladConfig(ion, integrator_step=ion.t_pi / (MAX_STEPS / 2))
+        with pytest.raises(ConfigError, match=r"2e\+08 steps over t_pi, more than the limit 1e\+08"):
+            LindbladConfig(ion, integrator_step=ion.t_pi / (2 * MAX_STEPS))
 
     def test_schedule_must_end_with_drive(self):
         ion = IonConfig(1.0, 0.01, 2)

@@ -11,7 +11,6 @@ from zenosim import (
     n_max,
     p2_asymptotic,
     p2_closed_form,
-    p2_decoherence_asymptotic,
     p2_decoherence_limited,
     simulate_projective_sequence,
 )
@@ -117,13 +116,6 @@ class TestDecoherenceLimited:
         cfg = ion_with_product(0.1)
         assert p2_decoherence_limited(10**4, cfg) == pytest.approx(0.5, abs=1e-4)
         assert p2_decoherence_limited(10**8, cfg) == pytest.approx(0.5, abs=1e-6)
-
-    def test_exponential_companion_nearby(self):
-        cfg = ion_with_product(0.1)
-        exact = p2_decoherence_limited(100, cfg)
-        approx = p2_decoherence_asymptotic(100, cfg)
-        assert approx == pytest.approx(0.19673467014368334, rel=1e-12)
-        assert abs(exact - approx) < 0.01
 
     def test_never_below_unclamped(self):
         cfg = ion_with_product(0.2)

@@ -13,7 +13,6 @@ from zenosim import (
     p2_closed_form,
     p_up_ideal,
     p_up_limited,
-    p_up_limited_asymptotic,
     phi_zero,
 )
 
@@ -102,12 +101,6 @@ class TestPhiZero:
         cfg = NeutronConfig(delta_e_m=1.0, delta_e_k=2.0, delta_x=1e-6)
         assert phi_zero(cfg) == 0.125
 
-    def test_traversal_angle(self):
-        cfg = NeutronConfig(
-            delta_e_m=1.0, delta_e_k=1.0, mu=0.5, b_field=1.0, length_l=0.4, v0=2.0
-        )
-        assert cfg.traversal_angle() == pytest.approx(0.1, rel=1e-15)
-
 
 class TestPUpLimited:
     def test_equals_ideal_while_clamp_inactive(self):
@@ -121,11 +114,6 @@ class TestPUpLimited:
         assert got == pytest.approx(math.exp(-0.05**2 * 10**4), abs=2e-3)
         assert got < 1e-6
         assert p_up_ideal(10**4) > 0.999
-
-    def test_exponential_companion(self):
-        assert p_up_limited_asymptotic(10**4, 0.05) == pytest.approx(
-            1.3887943864963971e-11, rel=1e-12
-        )
 
     def test_never_exceeds_ideal(self):
         for n in range(1, 200):

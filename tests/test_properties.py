@@ -1,6 +1,7 @@
 """Property tests: the oracle, the integer bounds and the JSON round trip."""
 
 import io
+import json
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from zenosim import (  # noqa: E402
     IonConfig,
     NeutronConfig,
     RunConfig,
+    SweepResult,
+    SweepRow,
     emit,
     load_result,
     n_max,
@@ -62,3 +65,28 @@ def test_json_round_trip(omega, tau_sp, n_list):
     back = load_result(buffer)
     assert back.rows == result.rows
     assert back.metadata["n_max"] == result.metadata["n_max"]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.builds(
+            SweepRow, st.integers(), finite, finite, finite, st.none() | finite, st.text()
+        ),
+        max_size=5,
+    ),
+    metadata=st.dictionaries(st.text(), json_values, max_size=5),
+)
+def test_json_bytes_equal_indent_2(rows, metadata):
+    buffer = io.StringIO()
+    emit(SweepResult(tuple(rows), metadata), format="json", destination=buffer)
+    expected = {"metadata": metadata, "rows": [vars(row) for row in rows]}
+    assert buffer.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"

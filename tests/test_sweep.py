@@ -10,6 +10,7 @@ import pytest
 from zenosim import (
     ConfigError,
     NeutronConfig,
+    NeutronRow,
     RunConfig,
     SweepResult,
     SweepRow,
@@ -186,6 +187,37 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(SweepResult((row,), {}), "json", buffer)
         assert buffer.getvalue() == ""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_json_rejects_infinite_value(self, value):
+        row = SweepRow(2, 0.5, 0.457597513764, value, None, "valid")
+        buffer = io.StringIO()
+        with pytest.raises(ValueError):
+            emit(SweepResult((row,), {}), "json", buffer)
+        assert buffer.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            (SweepRow(2, 0.5, 0.457597513764, 0.5, None, "valid"),),
+            (
+                SweepRow(1, 0.0, -0.0, 5e-324, 0.515364584926, "valid"),
+                SweepRow(10**30, 1e300, -1e300, 2.2250738585072014e-308, -0.0, "ill-defined"),
+            ),
+            (NeutronRow(15, 0.848, 0.8475, "valid"), NeutronRow(2**64 + 1, 1.0, 0.0, "ill-defined")),
+        ],
+    )
+    def test_json_bytes_equal_indent_2(self, rows):
+        metadata = {
+            "n_max": 2**70,
+            "note": 'naïve "quoted" \\ back\tslash\n\u2603 \U0001f600 \x00',
+            "nested": {"n_list": [1, 2, 3], "empty": [], "none": None, "flag": True},
+        }
+        buffer = io.StringIO()
+        emit(SweepResult(rows, metadata), "json", buffer)
+        expected = {"metadata": metadata, "rows": [vars(row) for row in rows]}
+        assert buffer.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
