@@ -12,10 +12,9 @@ import functools
 import sys
 
 from .config import RunConfig, parse_config, parse_n_list
-from .dynamics import IonConfig
 from .errors import BoundViolationError, ConfigError, IntegrationError
 from .ion import LINDBLAD_AGREEMENT_TOL, p2_closed_form
-from .sweep import emit, lindblad_config, lindblad_p2, run_ion_sweep, run_neutron_sweep
+from .sweep import emit, lindblad_p2, lindblad_setups, run_ion_sweep, run_neutron_sweep
 
 _DEFAULT_CHECK_COUNTS = (2, 4, 8)
 
@@ -71,16 +70,13 @@ def _run_table(cfg: RunConfig, runner) -> int:
 
 
 def _run_lindblad_check(cfg: RunConfig) -> int:
-    omega, tau_sp = cfg.require_ion()
     counts = cfg.n_list or _DEFAULT_CHECK_COUNTS
-    ions = [IonConfig(omega, tau_sp, n) for n in counts]
-    for ion in ions:  # a bad row fails here, before anything is printed
-        lindblad_config(ion, cfg)
+    setups = lindblad_setups(cfg, counts)  # a bad row fails here, before anything is printed
     worst = 0.0
     print("n,p2_projection,p2_lindblad,abs_deviation")
-    for n, ion in zip(counts, ions):
+    for n, setup in zip(counts, setups):
         closed = p2_closed_form(n)
-        full = lindblad_p2(ion, cfg)
+        full = lindblad_p2(setup)
         dev = abs(full - closed)
         worst = max(worst, dev)
         print(f"{n},{closed:.12g},{full:.12g},{dev:.3e}")

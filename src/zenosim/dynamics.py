@@ -10,7 +10,9 @@ populations untouched.
 
 The three-level model adds a short-lived auxiliary level (index 2) coupled to
 the lower level by square optical pulses and decaying back to it at rate
-gamma = 1/tau_sp.  Its master equation,
+gamma = 1/tau_sp.  The N pulses are equispaced, the k-th ending at k T / N,
+so a schedule holds no list of times and costs the same for any N.  Its
+master equation,
 
     drho/dt = -i [H(t), rho] + gamma (L rho L+ - {L+L, rho}/2),   L = |0><2|,
 
@@ -45,9 +47,11 @@ TRAJECTORY_MIN_EIG_TOL = 1e-8
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
-#: Most RK4 steps allowed over t_pi.  A step costs about 1.6 us (numpy 2.4,
-#: 2.0 GHz Xeon), so this is under 3 minutes of integration; beyond it a
-#: config is refused up front rather than left to run for hours.
+#: Most RK4 steps allowed over t_pi, counting at least one per segment.  A
+#: step inside a long segment costs about 1.6 us (numpy 2.4, 2.0 GHz Xeon),
+#: so this is under 3 minutes of integration there; a one-step segment costs
+#: about 90 us, since it builds its own step map.  Beyond the limit a config
+#: is refused up front rather than left to run for hours.
 MAX_STEPS = 10**8
 #: States produced, and validated, per batched product: P, P^2, ..., P^_BLOCK
 #: are stacked once per segment.
@@ -98,41 +102,24 @@ class ScheduleParams:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Timing of the optical measurement pulses.
+    """Optical measurement pulses, equispaced over the drive pulse.
 
-    Each measurement is a square pulse on the 0<->2 transition ending at its
-    measurement time, so the last pulse ends exactly when the drive pulse
-    does.  ``rf_during_pulse`` keeps the two-level drive on inside the
-    windows (the default) or gates it off.
+    The k-th of the ion's n measurements is a square pulse on the 0<->2
+    transition ending at t_pi * (k / n), so the last ends exactly when the
+    drive pulse does; build one with :meth:`equispaced`.  ``rf_during_pulse``
+    keeps the two-level drive on inside the windows (the default) or gates
+    it off.
     """
 
-    measurement_times: tuple[float, ...]
     optical_pulse_duration: float
     optical_rabi: float
     rf_during_pulse: bool = True
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.measurement_times)
-        object.__setattr__(self, "measurement_times", times)
-        if not times:
-            raise ConfigError("needs at least one time", field="schedule.measurement_times")
-        if not all(math.isfinite(t) for t in times):
-            raise ConfigError("times must be finite", field="schedule.measurement_times")
-        gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
-        if min(gaps) <= 0:
-            raise ConfigError(
-                "times must be strictly increasing and start after 0",
-                field="schedule.measurement_times",
-            )
-        if not (math.isfinite(self.optical_pulse_duration) and self.optical_pulse_duration > 0):
-            raise ConfigError("must be finite and > 0", field="schedule.optical_pulse_duration")
-        if not self.optical_pulse_duration < min(gaps):
-            raise ConfigError(
-                "pulses must be shorter than the measurement spacing",
-                field="schedule.optical_pulse_duration",
-            )
-        if not (math.isfinite(self.optical_rabi) and self.optical_rabi > 0):
-            raise ConfigError("must be finite and > 0", field="schedule.optical_rabi")
+        for name in ("optical_pulse_duration", "optical_rabi"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError("must be finite and > 0", field=f"schedule.{name}")
 
     @classmethod
     def equispaced(
@@ -142,7 +129,7 @@ class PulseSchedule:
         pulse_area: float = ScheduleParams.pulse_area,
         rf_during_pulse: bool = ScheduleParams.rf_during_pulse,
     ) -> "PulseSchedule":
-        """Build the schedule tau_k = k T / N for ``ion``.
+        """Build the schedule of measurements at tau_k = k T / N for ``ion``.
 
         The pulse length is ``duration_fraction`` of the spacing T/N and the
         optical Rabi frequency is set so each pulse has area ``pulse_area``
@@ -155,19 +142,18 @@ class PulseSchedule:
             raise ConfigError("must be in (0, 1)", field="schedule.pulse_duration_fraction")
         if not pulse_area > 0:
             raise ConfigError("must be > 0", field="schedule.pulse_area")
-        n = ion.n_pulses
-        times = tuple(ion.t_pi * (k / n) for k in range(1, n + 1))
-        duration = duration_fraction * (ion.t_pi / n)
-        return cls(times, duration, pulse_area / duration, rf_during_pulse)
+        duration = duration_fraction * (ion.t_pi / ion.n_pulses)
+        return cls(duration, pulse_area / duration, rf_during_pulse)
 
 
 @dataclass(frozen=True)
 class LindbladConfig:
     """Full three-level integration setup.
 
-    ``integrator_step`` defaults to 1/``_STEP_MARGIN`` of the fastest
-    timescale and may only be made smaller, to at most ``MAX_STEPS`` steps
-    over t_pi.
+    The schedule's pulses must be shorter than the ion's measurement
+    spacing t_pi / n.  ``integrator_step`` defaults to 1/``_STEP_MARGIN`` of
+    the fastest timescale and may only be made smaller, to at most
+    ``MAX_STEPS`` steps over t_pi, where every segment counts at least one.
     """
 
     ion: IonConfig
@@ -175,13 +161,14 @@ class LindbladConfig:
     integrator_step: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        segments = 1
         if self.schedule is not None:
-            t_end = self.schedule.measurement_times[-1]
-            if abs(t_end - self.ion.t_pi) > 1e-12 * self.ion.t_pi:
+            if not self.schedule.optical_pulse_duration < self.ion.t_pi / self.ion.n_pulses:
                 raise ConfigError(
-                    "last measurement must coincide with the end of the drive pulse",
-                    field="schedule.measurement_times",
+                    "pulses must be shorter than the measurement spacing",
+                    field="schedule.optical_pulse_duration",
                 )
+            segments = 2 * self.ion.n_pulses  # at most a gap and a pulse per measurement
         bound = self.max_step()
         if self.integrator_step is None:
             object.__setattr__(self, "integrator_step", bound)
@@ -190,7 +177,8 @@ class LindbladConfig:
                 f"must be in (0, {bound:.6g}] to resolve the fastest timescale",
                 field="lindblad.integrator_step",
             )
-        steps = self.ion.t_pi / self.integrator_step
+        # Each segment takes at least one step, so this bounds the steps run.
+        steps = self.ion.t_pi / self.integrator_step + segments
         if not steps <= MAX_STEPS:
             raise ConfigError(
                 f"gives {steps:.3g} steps over t_pi, more than the limit {MAX_STEPS:.0e}",
@@ -235,20 +223,24 @@ def apply_projection(rho) -> np.ndarray:
 
 
 def _segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]:
-    """Split [0, T] into (start, end, pulse_on, n_steps) pieces at the window edges."""
+    """Split [0, T] into (start, end, pulse_on, n_steps) pieces at the window edges.
+
+    A pulse that would start before the previous measurement, its length
+    within rounding of the spacing, starts at it instead.
+    """
     t_end = cfg.ion.t_pi
-    segs: list[tuple[float, float, bool]] = []
-    cursor = 0.0
-    if cfg.schedule is not None:
-        d = cfg.schedule.optical_pulse_duration
-        for tk in cfg.schedule.measurement_times:
-            start = tk - d
+    if cfg.schedule is None:
+        segs = [(0.0, t_end, False)]
+    else:
+        n, d = cfg.ion.n_pulses, cfg.schedule.optical_pulse_duration
+        segs, cursor = [], 0.0
+        for k in range(1, n + 1):
+            tk = t_end * (k / n)
+            start = max(tk - d, cursor)
             if start > cursor:
                 segs.append((cursor, start, False))
             segs.append((start, tk, True))
             cursor = tk
-    if t_end - cursor > 1e-12 * t_end:
-        segs.append((cursor, t_end, False))
     return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
 
 

@@ -92,11 +92,11 @@ def neutron_n_max(cfg: NeutronConfig) -> int:
     Raises
     ------
     BoundViolationError
-        If phi0 > pi/2 (no measurement fits) or underflows to 0.
+        If phi0 >= pi/2 (outside :func:`p_up_limited`'s domain) or underflows to 0.
     """
     phi0 = phi_zero(cfg)
-    if phi0 > math.pi / 2.0:
+    if phi0 >= math.pi / 2.0:
         raise BoundViolationError(
-            f"phi0 = {phi0:.6g} exceeds pi/2; no valid measurement count"
+            f"phi0 = {phi0:.6g} is not below pi/2; no valid measurement count"
         )
     return _guarded_floor(math.pi, 2.0 * phi0)

@@ -68,20 +68,29 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def lindblad_config(ion: IonConfig, cfg: RunConfig) -> LindbladConfig:
-    """The full model's setup for ``ion``: the equispaced schedule and step of ``cfg``."""
-    sched = PulseSchedule.equispaced(
-        ion,
-        duration_fraction=cfg.schedule.pulse_duration_fraction,
-        pulse_area=cfg.schedule.pulse_area,
-        rf_during_pulse=cfg.schedule.rf_during_pulse,
-    )
-    return LindbladConfig(ion, sched, integrator_step=cfg.schedule.integrator_step)
+def lindblad_setups(cfg: RunConfig, counts) -> list[LindbladConfig]:
+    """The full model's setup for each count: the ion, schedule and step of ``cfg``.
+
+    Every setup is built, and so checked, before any row is integrated.
+    """
+    omega, tau_sp = cfg.require_ion()
+    params = cfg.schedule
+    setups = []
+    for n in counts:
+        ion = IonConfig(omega, tau_sp, n)
+        sched = PulseSchedule.equispaced(
+            ion, params.pulse_duration_fraction, params.pulse_area, params.rf_during_pulse
+        )
+        setups.append(LindbladConfig(ion, sched, integrator_step=params.integrator_step))
+    return setups
 
 
-def lindblad_p2(ion: IonConfig, cfg: RunConfig) -> float:
+def lindblad_p2(setup: LindbladConfig) -> float:
     """Upper-level population at the end of the drive pulse from the full model."""
-    return final_state(lindblad_config(ion, cfg), np.diag([1.0, 0.0, 0.0]))[1, 1].real
+    try:
+        return final_state(setup, np.diag([1.0, 0.0, 0.0]))[1, 1].real
+    except IntegrationError as exc:
+        raise IntegrationError(f"row n={setup.ion.n_pulses}: {exc.message}", time=exc.time) from exc
 
 
 def run_ion_sweep(cfg: RunConfig) -> SweepResult:
@@ -91,24 +100,18 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     # n_max and the clamp read only omega * tau_sp, so one config serves every row.
     base = IonConfig(omega, tau_sp, 1)
     bound = n_max(base)
-    rows = []
-    for n in n_list:
-        p2_full = None
-        if cfg.lindblad:
-            try:
-                p2_full = lindblad_p2(IonConfig(omega, tau_sp, n), cfg)
-            except IntegrationError as exc:
-                raise IntegrationError(f"row n={n}: {exc.message}", time=exc.time) from exc
-        rows.append(
-            SweepRow(
-                n=n,
-                p2_projection=p2_closed_form(n),
-                p2_asymptotic=p2_asymptotic(n),
-                p2_limited=p2_decoherence_limited(n, base),
-                p2_lindblad=p2_full,
-                regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
-            )
+    setups = lindblad_setups(cfg, n_list) if cfg.lindblad else [None] * len(n_list)
+    rows = [
+        SweepRow(
+            n=n,
+            p2_projection=p2_closed_form(n),
+            p2_asymptotic=p2_asymptotic(n),
+            p2_limited=p2_decoherence_limited(n, base),
+            p2_lindblad=None if setup is None else lindblad_p2(setup),
+            regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
         )
+        for n, setup in zip(n_list, setups)
+    ]
     metadata = {
         "config": {
             "omega": omega,

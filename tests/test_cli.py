@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -95,6 +96,18 @@ class TestIonCommand:
         assert main(["ion", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: bound ")
 
+    def test_lindblad_rows_checked_before_any_is_integrated(self, tmp_path, capsys):
+        # n = 50000 needs 1.26e8 steps; n = 500 must not be integrated first
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text(
+            "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[sweep]\nn_list = 500, 50000\nlindblad = true\n"
+        )
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main(["ion", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than the limit 1e+08" in captured.err
+
 
 class TestNeutronCommand:
     def test_table(self, neutron_cfg, capsys):
@@ -112,6 +125,18 @@ class TestNeutronCommand:
         )
         assert main(["neutron", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: bound ")
+
+    def test_half_pi_angle_exit_code(self, tmp_path, capsys):
+        # phi0 = 2 pi / 4 = pi/2: no admissible count, rather than a traceback
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            "[neutron]\ndelta_e_m = 6.283185307179586\ndelta_e_k = 1.0\n\n[sweep]\nn_list = 1\n"
+        )
+        assert main(["neutron", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: phi0 = 1.5708 is not below pi/2")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestValidateCommand:
@@ -170,6 +195,22 @@ class TestLindbladCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "6.28e+13 steps over t_pi, more than the limit 1e+08" in captured.err
+
+    def test_large_count_refused_at_once(self, tmp_path, capsys):
+        # n = 1e6 needs 2.51e9 steps plus one per segment; refusing it costs what n = 2 does
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n")
+        tracemalloc.start()
+        try:
+            code = main(["lindblad-check", "--config", str(cfg), "--n-list", "2,1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 1_000_000
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2.52e+09 steps over t_pi, more than the limit 1e+08" in captured.err
 
 
 class TestFixedCosts:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +79,27 @@ def reference_rk4(cfg: LindbladConfig, rho0) -> tuple[list[float], np.ndarray]:
             times.append(start + i * h if i < n_steps else end)
             states.append(x)
     return times, np.array(states).reshape(-1, 3, 3)
+
+
+def listed_segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]:
+    """Segments built from an explicit tuple of measurement times t_pi * (k / n).
+
+    The way a schedule that stored its n times was split, kept as the
+    reference that the O(1) schedule must match bit for bit.
+    """
+    t_end, n = cfg.ion.t_pi, cfg.ion.n_pulses
+    times = tuple(t_end * (k / n) for k in range(1, n + 1))
+    d = cfg.schedule.optical_pulse_duration
+    segs, cursor = [], 0.0
+    for tk in times:
+        start = tk - d
+        if start > cursor:
+            segs.append((cursor, start, False))
+        segs.append((start, tk, True))
+        cursor = tk
+    if t_end - cursor > 1e-12 * t_end:
+        segs.append((cursor, t_end, False))
+    return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
 
 
 class TestEvolveBloch:
@@ -165,16 +187,18 @@ class TestConfigs:
         assert n == 4 and type(n) is int
 
     def test_non_finite_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            PulseSchedule((math.nan, 1.0), 0.01, 10.0)
+        with pytest.raises(ConfigError, match="optical_pulse_duration"):
+            PulseSchedule(math.nan, 10.0)
+        with pytest.raises(ConfigError, match="optical_rabi"):
+            PulseSchedule(0.01, math.inf)
 
     def test_equispaced_schedule(self):
         ion = IonConfig(1.0, 0.01, 4)
         sched = PulseSchedule.equispaced(ion, duration_fraction=0.05)
-        assert len(sched.measurement_times) == 4
-        assert sched.measurement_times[-1] == ion.t_pi
+        pulses = [seg for seg in _segments(LindbladConfig(ion, sched)) if seg[2]]
+        assert [end for _, end, _, _ in pulses] == [ion.t_pi * (k / 4) for k in range(1, 5)]
+        assert pulses[-1][1] == ion.t_pi
         spacing = ion.t_pi / 4
-        np.testing.assert_allclose(np.diff(sched.measurement_times), spacing, rtol=1e-12)
         assert sched.optical_pulse_duration == pytest.approx(0.05 * spacing)
         assert sched.optical_rabi * sched.optical_pulse_duration == pytest.approx(math.pi)
 
@@ -201,11 +225,22 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=r"2e\+08 steps over t_pi, more than the limit 1e\+08"):
             LindbladConfig(ion, integrator_step=ion.t_pi / (2 * MAX_STEPS))
 
+    def test_step_limit_counts_every_segment(self):
+        # A tiny pulse area leaves the step at tau_sp / 20, 628 steps over
+        # t_pi for any n, yet each of the 2n segments takes one step.
+        ion = IonConfig(1.0, 0.1, 1000)
+        sched = PulseSchedule.equispaced(ion, pulse_area=1e-9)
+        assert sum(seg[3] for seg in _segments(LindbladConfig(ion, sched))) == 2000
+        with mock.patch("zenosim.dynamics.MAX_STEPS", 1500):
+            with pytest.raises(ConfigError, match=r"2.63e\+03 steps over t_pi"):
+                LindbladConfig(ion, sched)
+
     def test_schedule_must_end_with_drive(self):
-        ion = IonConfig(1.0, 0.01, 2)
-        sched = PulseSchedule((0.5, 1.0), 0.01, 10.0)
-        with pytest.raises(ConfigError):
-            LindbladConfig(ion, sched)
+        # The last pulse ends at t_pi by construction; a schedule built for
+        # another count has pulses as long as this ion's spacing.
+        sched = PulseSchedule.equispaced(IonConfig(1.0, 0.01, 2), duration_fraction=0.5)
+        with pytest.raises(ConfigError, match="shorter than the measurement spacing"):
+            LindbladConfig(IonConfig(1.0, 0.01, 4), sched)
 
 
 class TestIntegrateLindblad:
@@ -342,6 +377,33 @@ class TestEngineMatchesReferenceLoop:
         got = np.array([rho for _, rho in traj])
         assert np.max(np.abs(got - want)) <= 1e-12
         np.testing.assert_array_equal(final_state(cfg, GROUND3), traj[-1][1])
+
+
+class TestEquispacedSchedule:
+    """The O(1) schedule against one built from the explicit list of times."""
+
+    @pytest.mark.parametrize(
+        "n, tau_sp, fraction, rf_during_pulse",
+        list(itertools.product(
+            (1, 2, 3, 4, 7, 16, 31, 64), (0.1, 0.01), (0.025, 0.05, 0.3), (True, False)
+        )),
+    )
+    def test_bit_identical_to_listed_times(self, n, tau_sp, fraction, rf_during_pulse):
+        ion = IonConfig(1.0, tau_sp, n)
+        sched = PulseSchedule.equispaced(
+            ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
+        )
+        cfg = LindbladConfig(ion, sched)
+        segments = _segments(cfg)
+        assert segments == listed_segments(cfg)
+        with mock.patch("zenosim.dynamics._segments", listed_segments):
+            want = final_state(cfg, GROUND3)
+        np.testing.assert_array_equal(final_state(cfg, GROUND3), want)
+        # The step limit's count is at least the steps the integrator runs.
+        total = sum(seg[3] for seg in segments)
+        with mock.patch("zenosim.dynamics.MAX_STEPS", math.nextafter(total, 0)):
+            with pytest.raises(ConfigError, match="more than the limit"):
+                LindbladConfig(ion, sched)
 
 
 class TestPopulations:

@@ -160,3 +160,8 @@ class TestNeutronNMax:
     def test_angle_beyond_half_pi_rejected(self):
         with pytest.raises(BoundViolationError):
             neutron_n_max(config_with_phi0(1.6))
+
+    def test_angle_at_half_pi_rejected(self):
+        # floor(pi / (2 phi0)) would be 1, but p_up_limited refuses phi0 = pi/2
+        with pytest.raises(BoundViolationError):
+            neutron_n_max(NeutronConfig(delta_e_m=6.283185307179586, delta_e_k=1.0))

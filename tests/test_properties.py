@@ -1,4 +1,4 @@
-"""Property tests: the oracle, the integer bounds and the JSON round trip."""
+"""Property tests: the oracle, the integer bounds, the pulse segments and the JSON round trip."""
 
 import io
 import json
@@ -12,7 +12,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from zenosim import (  # noqa: E402
     IonConfig,
+    LindbladConfig,
     NeutronConfig,
+    PulseSchedule,
     RunConfig,
     SweepResult,
     SweepRow,
@@ -24,6 +26,7 @@ from zenosim import (  # noqa: E402
     run_ion_sweep,
     simulate_projective_sequence,
 )
+from zenosim.dynamics import _segments  # noqa: E402
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=1, max_value=10**15)
@@ -40,7 +43,8 @@ def test_oracle_matches_closed_form(omega, tau_sp, n):
 @given(k=counts)
 def test_n_max_of_integer_ratio(k):
     assert n_max(IonConfig(1.0, math.pi / k, 1)) == k
-    assert neutron_n_max(NeutronConfig(delta_e_m=4.0 * (math.pi / (2 * k)), delta_e_k=1.0)) == k
+    if k > 1:  # k = 1 is phi0 = pi/2, where no count is admissible
+        assert neutron_n_max(NeutronConfig(delta_e_m=4.0 * (math.pi / (2 * k)), delta_e_k=1.0)) == k
 
 
 @settings(max_examples=500)
@@ -49,6 +53,21 @@ def test_n_max_of_half_integer_ratio(k):
     assert n_max(IonConfig(1.0, math.pi / (k + 0.5), 1)) == k
     phi0 = math.pi / (2 * (k + 0.5))
     assert neutron_n_max(NeutronConfig(delta_e_m=4.0 * phi0, delta_e_k=1.0)) == k
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=positive, n=st.integers(min_value=1, max_value=2000),
+       ulps=st.integers(min_value=1, max_value=4000))
+def test_pulses_as_long_as_the_spacing_tile_the_drive(omega, n, ulps):
+    # A fraction within about n eps of 1: rounding may put a pulse's start
+    # before the previous measurement, where it must start instead.
+    ion = IonConfig(omega, 0.1 / omega, n)
+    sched = PulseSchedule.equispaced(ion, duration_fraction=1.0 - ulps * 2.0**-53)
+    segments = _segments(LindbladConfig(ion, sched))
+    assert segments[0][0] == 0.0 and segments[-1][1] == ion.t_pi
+    assert all(end > start for start, end, _, _ in segments)
+    assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+    assert sum(pulse_on for _, _, pulse_on, _ in segments) == n
 
 
 @settings(max_examples=60, deadline=None)
