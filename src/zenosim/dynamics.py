@@ -36,26 +36,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
-from .states import BlochVector, as_density, min_eigenvalue
-
-#: Trace drift tolerated along a stored trajectory.
-TRAJECTORY_TRACE_TOL = 1e-9
-#: Hermiticity residue tolerated along a stored trajectory.
-TRAJECTORY_HERMITICITY_TOL = 1e-10
-#: Most negative eigenvalue tolerated along a stored trajectory.
-TRAJECTORY_MIN_EIG_TOL = 1e-8
+from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
+from .states import BlochVector, as_density, hermiticity_residue, min_eigenvalue
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
-#: Most RK4 steps allowed over t_pi, counting at least one per segment.  A
-#: step inside a long segment costs about 1.6 us (numpy 2.4, 2.0 GHz Xeon),
-#: so this is under 3 minutes of integration there; a one-step segment costs
-#: about 90 us, since it builds its own step map.  Beyond the limit a config
-#: is refused up front rather than left to run for hours.
+#: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
+#: which a config is refused up front.  A step inside a long segment costs about
+#: 1.6 us (numpy 2.4, 2.0 GHz Xeon), under 3 minutes at the limit; a one-step
+#: segment 60-90 us, mostly validating its one-state block (~37 us) and building
+#: its step map (~23 us), so a row of them at the limit runs 1.5-2.5 hours.
 MAX_STEPS = 10**8
 #: States produced, and validated, per batched product: P, P^2, ..., P^_BLOCK
 #: are stacked once per segment.
 _BLOCK = 64
+#: Min eig > -TRAJECTORY_MIN_EIG_TOL where a Hermitian part plus this is positive definite.
+_MIN_EIG_SHIFT = TRAJECTORY_MIN_EIG_TOL * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -206,9 +202,9 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
     Raises
     ------
     ValueError
-        If ``dt`` is negative.
+        If ``dt`` is negative or NaN.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError("dt must be >= 0")
     r0 = BlochVector(*r0)
     angle = omega * dt
@@ -290,27 +286,25 @@ def _positive_definite(a: np.ndarray) -> np.ndarray:
 def _validate_block(times: list[float], states: np.ndarray) -> None:
     """Raise at the earliest state of the (b, 3, 3) stack that breaks an invariant.
 
+    At that state Hermiticity is reported first, then trace, then positivity.
     Comparisons are written so that NaN fails them.
     """
-    adjoint = states.conj().swapaxes(1, 2)
-    herm = np.abs(states - adjoint).max(axis=(1, 2))
-    trace = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL)
-    stop = len(states) if ok.all() else int(np.argmin(ok))
-    # Only finite states reach the positivity test: the smallest eigenvalue
-    # exceeds -tol where the Hermitian part plus tol * I is positive definite.
-    herm_part = 0.5 * (states[:stop] + adjoint[:stop])
-    positive = _positive_definite(herm_part + TRAJECTORY_MIN_EIG_TOL * np.eye(3))
-    if not positive.all():
-        i = int(np.argmin(positive))
-        low = min_eigenvalue(herm_part[i])
-        raise IntegrationError(f"state lost positivity (min eig {low:.3e})", time=times[i])
-    if stop < len(states):
-        if not herm[stop] <= TRAJECTORY_HERMITICITY_TOL:
-            lost = f"Hermiticity (residue {herm[stop]:.3e})"
-        else:
-            lost = f"unit trace (residue {trace[stop]:.3e})"
-        raise IntegrationError(f"state lost {lost}", time=times[stop])
+    herm = hermiticity_residue(states)
+    with np.errstate(invalid="ignore"):  # a non-finite state fails, with no warning
+        trace = np.abs(states.trace(axis1=1, axis2=2) - 1.0)
+        herm_part = 0.5 * (states + states.conj().swapaxes(1, 2))
+    positive = _positive_definite(herm_part + _MIN_EIG_SHIFT)
+    ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    if not herm[i] <= TRAJECTORY_HERMITICITY_TOL:
+        lost = f"Hermiticity (residue {herm[i]:.3e})"
+    elif not trace[i] <= TRAJECTORY_TRACE_TOL:
+        lost = f"unit trace (residue {trace[i]:.3e})"
+    else:
+        lost = f"positivity (min eig {min_eigenvalue(herm_part[i]):.3e})"
+    raise IntegrationError(f"state lost {lost}", time=times[i])
 
 
 def _trajectory_blocks(cfg: LindbladConfig, rho0):

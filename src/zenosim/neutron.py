@@ -22,20 +22,16 @@ class NeutronConfig:
     Either give the energies directly (``delta_e_m`` is the magnetic gap
     2 mu B, ``delta_e_k`` the kinetic-energy spread m v0 dv at the mean
     speed), or give the raw quantities and let them be derived.  When both
-    are given they must agree to 1e-12 relative.  ``delta_x`` (position
-    uncertainty) is accepted for completeness but enters no formula here.
-    Units have hbar = 1.
+    are given they must agree to 1e-12 relative.  Units have hbar = 1.
     """
 
     delta_e_m: float = None  # type: ignore[assignment]
     delta_e_k: float = None  # type: ignore[assignment]
     mu: float | None = None
     b_field: float | None = None
-    length_l: float | None = None
     v0: float | None = None
     delta_v: float | None = None
     mass: float | None = None
-    delta_x: float | None = None
 
     def __post_init__(self):
         # energy -> (the raw inputs whose product it is, how to name them)

@@ -8,8 +8,8 @@ Bloch vector (r1, r2, r3) with
     r3 = rho_22 - rho_11,
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
-The tolerances below govern the two-level maps; the thresholds applied along
-integrated trajectories are ``dynamics``' own ``TRAJECTORY_*`` constants.
+Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
+too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ HERMITICITY_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-10
 #: Agreement required of the density <-> Bloch round trip, per component.
 ROUND_TRIP_TOL = 1e-12
+#: Trace drift tolerated along an integrated trajectory.
+TRAJECTORY_TRACE_TOL = 1e-9
+#: Hermiticity residue tolerated along an integrated trajectory.
+TRAJECTORY_HERMITICITY_TOL = 1e-10
+#: Most negative eigenvalue tolerated along an integrated trajectory.
+TRAJECTORY_MIN_EIG_TOL = 1e-8
 
 
 class BlochVector(NamedTuple):
@@ -45,7 +51,7 @@ class Diagnostics(NamedTuple):
 
     The caller decides pass/fail against whatever tolerances apply in its
     context; this function never raises.  A state with a non-finite entry
-    reports ``min_eigenvalue`` NaN, which fails any tolerance check.
+    reports a NaN or inf Hermiticity residue and a NaN ``min_eigenvalue``.
     """
 
     hermiticity_residue: float
@@ -61,6 +67,15 @@ def as_density(entries) -> np.ndarray:
             f"density matrix must be 2x2 or 3x3, got shape {rho.shape}"
         )
     return rho
+
+
+def hermiticity_residue(rho: np.ndarray) -> np.ndarray:
+    """max |rho - rho^dagger| entrywise, per matrix of a (..., d, d) stack.
+
+    A non-finite entry gives a NaN or inf residue, and no warning.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def min_eigenvalue(rho: np.ndarray) -> float:
@@ -85,10 +100,9 @@ def validate_density(rho) -> Diagnostics:
     """
     rho = as_density(rho)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN residue, not a warning
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
         trace = abs(complex(rho.trace()) - 1.0)
         sym = 0.5 * (rho + rho.conj().T)
-    return Diagnostics(herm, trace, min_eigenvalue(sym))
+    return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
 
 
 def bloch_from_density(rho) -> BlochVector:
@@ -97,14 +111,14 @@ def bloch_from_density(rho) -> BlochVector:
     Raises
     ------
     InvalidStateError
-        If ``rho`` is not 2x2 or deviates from Hermiticity beyond
-        ``HERMITICITY_TOL``.
+        If ``rho`` is not 2x2, has a non-finite entry, or deviates from
+        Hermiticity beyond ``HERMITICITY_TOL``.
     """
     rho = as_density(rho)
     if rho.shape != (2, 2):
         raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > HERMITICITY_TOL:
+    herm = float(hermiticity_residue(rho))
+    if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
     r1 = rho[0, 1] + rho[1, 0]
     r2 = 1j * (rho[0, 1] - rho[1, 0])
@@ -120,10 +134,10 @@ def density_from_bloch(r: BlochVector) -> np.ndarray:
     Raises
     ------
     NonphysicalStateError
-        If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``.
+        If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
     """
     r = BlochVector(*r)
-    if r.norm() > 1.0 + BLOCH_NORM_TOL:
+    if not r.norm() <= 1.0 + BLOCH_NORM_TOL:
         raise NonphysicalStateError(
             f"Bloch vector norm {r.norm():.12g} exceeds 1"
         )

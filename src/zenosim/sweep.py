@@ -18,7 +18,6 @@ depth 2; only the metadata goes through the indenting (pure-Python) encoder.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -164,11 +163,7 @@ def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
 def _format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(int(value))
-    if not math.isfinite(value):
+    if isinstance(value, (str, int)):
         return str(value)
     return format(value, ".12g")
 

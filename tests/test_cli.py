@@ -7,8 +7,9 @@ from unittest import mock
 
 import pytest
 
-from zenosim import IonConfig, cli
+from zenosim import IntegrationError, IonConfig, cli, lindblad_p2, parse_config
 from zenosim.cli import main
+from zenosim.sweep import lindblad_setups
 
 ION_HEADER = "n,p2_projection,p2_asymptotic,p2_limited,p2_lindblad,regime_flag"
 
@@ -108,6 +109,23 @@ class TestIonCommand:
         assert captured.out == ""
         assert "more than the limit 1e+08" in captured.err
 
+    def test_integration_failure_names_row(self, tmp_path, capsys):
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[sweep]\nn_list = 2\nlindblad = true\n")
+        failure = IntegrationError("state lost unit trace (residue 1.000e-01)", time=0.25)
+        setup, = lindblad_setups(parse_config(cfg), [2])
+        with mock.patch("zenosim.sweep.final_state", side_effect=failure):
+            with pytest.raises(IntegrationError) as err:
+                lindblad_p2(setup)
+            assert err.value.message == "row n=2: state lost unit trace (residue 1.000e-01)"
+            assert err.value.time == 0.25
+            assert main(["ion", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: row n=2: state lost unit trace (residue 1.000e-01) (at t=0.25)\n"
+        )
+
 
 class TestNeutronCommand:
     def test_table(self, neutron_cfg, capsys):
@@ -125,6 +143,10 @@ class TestNeutronCommand:
         )
         assert main(["neutron", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: bound ")
+
+    def test_missing_section_exit_code(self, ion_cfg, capsys):
+        assert main(["neutron", "--config", str(ion_cfg)]) == 1
+        assert capsys.readouterr().err == "config error: neutron: section [neutron] is required\n"
 
     def test_half_pi_angle_exit_code(self, tmp_path, capsys):
         # phi0 = 2 pi / 4 = pi/2: no admissible count, rather than a traceback

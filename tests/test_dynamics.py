@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from zenosim import (
     BlochVector,
     ConfigError,
     IntegrationError,
+    InvalidStateError,
     IonConfig,
     LindbladConfig,
     PulseSchedule,
@@ -28,6 +30,7 @@ from zenosim.dynamics import (
     TRAJECTORY_TRACE_TOL,
     _positive_definite,
     _segments,
+    _validate_block,
     final_state,
 )
 
@@ -135,6 +138,10 @@ class TestEvolveBloch:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             evolve_bloch(BlochVector(0, 0, -1), 1.0, -0.1)
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(ValueError):
+            evolve_bloch(BlochVector(0, 0, -1), 1.0, math.nan)
 
 
 class TestApplyProjection:
@@ -316,10 +323,47 @@ class TestIntegrateLindblad:
 
     def test_non_finite_initial_state_rejected(self):
         cfg = LindbladConfig(IonConfig(1.0, 0.1, 1))
-        for run in (integrate_lindblad, final_state):
-            with pytest.raises(IntegrationError) as err:
-                run(cfg, np.full((3, 3), np.nan))
+        starts = [np.full((3, 3), np.nan)]
+        for entry in [(0, 0), (0, 1), (2, 2)]:
+            starts.append(GROUND3.copy())
+            starts[-1][entry] = np.inf
+        for rho0, run in itertools.product(starts, (integrate_lindblad, final_state)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError, match="Hermiticity") as err:
+                    run(cfg, rho0)
             assert err.value.time == 0.0
+
+    def test_lost_trace_reported(self):
+        cfg = LindbladConfig(IonConfig(1.0, 0.1, 1))
+        for run in (integrate_lindblad, final_state):
+            with pytest.raises(IntegrationError, match="state lost unit trace") as err:
+                run(cfg, np.diag([0.5, 0.5, 0.5]))
+            assert err.value.time == 0.0
+
+    def test_two_level_initial_state_rejected(self):
+        with pytest.raises(InvalidStateError, match="3x3"):
+            integrate_lindblad(LindbladConfig(IonConfig(1.0, 0.1, 1)), np.diag([1.0, 0.0]))
+
+    def test_gate_reports_earliest_state_in_check_order(self):
+        # The earliest failing state is named; at that state Hermiticity is
+        # reported before trace, and trace before positivity.
+        good = GROUND3
+        negative = np.diag([1.5, -0.5, 0.0]).astype(complex)  # positivity only
+        everything = np.diag([1.5, -0.4, 0.0]).astype(complex)
+        everything[0, 1] = 1e-3  # all three checks
+        trace_and_positivity = np.diag([1.5, -0.4, 0.0]).astype(complex)
+        times = [0.0, 0.1, 0.2, 0.3]
+        cases = [
+            ([good, negative, everything], "positivity (min eig -5.000e-01)", 0.1),
+            ([good, everything, negative], "Hermiticity (residue 1.000e-03)", 0.1),
+            ([good, good, trace_and_positivity], "unit trace (residue 1.000e-01)", 0.2),
+        ]
+        for stack, lost, time in cases:
+            with pytest.raises(IntegrationError) as err:
+                _validate_block(times[:len(stack)], np.array(stack))
+            assert (err.value.message, err.value.time) == (f"state lost {lost}", time)
+        _validate_block(times, np.array([good] * 4))
 
     def test_failure_reported_at_earliest_state(self):
         # Two negative eigenvalues inside tolerance at t=0: the decay pours

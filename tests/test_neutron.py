@@ -13,6 +13,7 @@ from zenosim import (
     p2_closed_form,
     p_up_ideal,
     p_up_limited,
+    parse_config,
     phi_zero,
 )
 
@@ -97,9 +98,16 @@ class TestPhiZero:
         with pytest.raises(ConfigError):
             NeutronConfig(**kwargs)
 
-    def test_position_uncertainty_accepted_but_unused(self):
-        cfg = NeutronConfig(delta_e_m=1.0, delta_e_k=2.0, delta_x=1e-6)
-        assert phi_zero(cfg) == 0.125
+    def test_position_uncertainty_accepted_but_unused(self, tmp_path):
+        # Neither enters a formula, so neither is a field or a config key.
+        for key in ("delta_x", "length_l"):
+            with pytest.raises(TypeError):
+                NeutronConfig(delta_e_m=1.0, delta_e_k=2.0, **{key: 1e-6})
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"[neutron]\ndelta_e_m = 1.0\ndelta_e_k = 2.0\n{key} = 1e-6\n")
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            assert err.value.field == f"neutron.{key}"
 
 
 class TestPUpLimited:

@@ -11,10 +11,23 @@ from zenosim import (
     density_from_bloch,
     validate_density,
 )
-from zenosim.states import BLOCH_NORM_TOL, ROUND_TRIP_TOL, min_eigenvalue
+from zenosim.states import (
+    BLOCH_NORM_TOL,
+    ROUND_TRIP_TOL,
+    as_density,
+    hermiticity_residue,
+    min_eigenvalue,
+)
 
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
+NON_FINITE_2X2 = {
+    "inf-diagonal": np.diag([np.inf, 0.0]).astype(complex),
+    "all-nan": np.full((2, 2), np.nan, dtype=complex),
+    "nan-coherence": np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex),
+    "inf-coherence": np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex),
+    "imaginary-inf-diagonal": np.diag([complex(0.5, np.inf), 0.5]),
+}
 
 
 def random_bloch(rng, norm_cap=1.0):
@@ -48,6 +61,11 @@ class TestBlochFromDensity:
         with pytest.raises(InvalidStateError):
             bloch_from_density(np.eye(3, dtype=complex) / 3)
 
+    @pytest.mark.parametrize("rho", NON_FINITE_2X2.values(), ids=NON_FINITE_2X2.keys())
+    def test_non_finite_rejected(self, rho):
+        with pytest.raises(InvalidStateError, match="not Hermitian"):
+            bloch_from_density(rho)
+
 
 class TestDensityFromBloch:
     def test_south_pole(self):
@@ -60,6 +78,11 @@ class TestDensityFromBloch:
     def test_norm_above_one_rejected(self):
         with pytest.raises(NonphysicalStateError):
             density_from_bloch(BlochVector(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("r", [(np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)])
+    def test_nan_component_rejected(self, r):
+        with pytest.raises(NonphysicalStateError):
+            density_from_bloch(BlochVector(*r))
 
     def test_norm_tolerance_edge_accepted(self):
         density_from_bloch(BlochVector(1.0 + BLOCH_NORM_TOL / 2, 0.0, 0.0))
@@ -112,6 +135,30 @@ class TestValidateDensity:
     def test_non_finite_reports_nan(self, rho):
         # eigvalsh would raise here; a 0.0 would let an eigenvalue-only check pass.
         assert np.isnan(validate_density(rho).min_eigenvalue)
+
+
+class TestHermiticityResidue:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(5, 4, 3, 3)) + 1j * rng.normal(size=(5, 4, 3, 3))
+        got = hermiticity_residue(stack)
+        assert got.shape == (5, 4)
+        for index in np.ndindex(5, 4):
+            rho = stack[index]
+            assert got[index] == np.max(np.abs(rho - rho.conj().T))
+
+    @pytest.mark.parametrize("rho", NON_FINITE_2X2.values(), ids=NON_FINITE_2X2.keys())
+    def test_non_finite_fails_every_tolerance(self, rho):
+        # inf - inf on the diagonal gives NaN, an infinite coherence inf.
+        residue = hermiticity_residue(rho)
+        assert not residue <= 1.0
+        assert np.array_equal(validate_density(rho).hermiticity_residue, residue, equal_nan=True)
+
+
+class TestAsDensity:
+    def test_four_level_rejected(self):
+        with pytest.raises(InvalidStateError, match=r"2x2 or 3x3, got shape \(4, 4\)"):
+            as_density(np.eye(4) / 4)
 
 
 class TestClosedFormEigenvalues:

@@ -310,6 +310,7 @@ class TestConfigFile:
 
     def test_n_list_validation(self):
         assert parse_n_list("8,1,1,2") == (1, 2, 8)
+        assert parse_n_list("1,,2,") == (1, 2)
         with pytest.raises(ConfigError):
             parse_n_list("3,0")
         with pytest.raises(ConfigError):
