@@ -24,8 +24,10 @@ convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
 The equation is linear, so inside a segment one RK4 step is a fixed 9x9 map
 on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
 (Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks, P..P^b times
-the last state in one batched product, and each block is validated at once
-(trace, Hermiticity, positivity) before the next is made.
+the last state in one batched product, with each P^k built once per row for
+each segment kind and step.  Blocks fill chunks of up to 512 states that run
+across segments, and each chunk is validated at once (trace, Hermiticity,
+positivity) before it is handed on.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from .states import BlochVector, as_density, hermiticity_residue, min_eigenvalue
 _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
 #: which a config is refused up front.  A step inside a long segment costs about
-#: 1.6 us (numpy 2.4, 2.0 GHz Xeon), under 3 minutes at the limit; a one-step
-#: segment 60-90 us, mostly validating its one-state block (~37 us) and building
-#: its step map (~23 us), so a row of them at the limit runs 1.5-2.5 hours.
+#: 0.75 us (numpy 2.4, 2.0 GHz Xeon), about 75 s at the limit; a one-step
+#: segment 6.5-8 us, so a row of them at the limit runs 11-13 minutes.
 MAX_STEPS = 10**8
-#: States produced, and validated, per batched product: P, P^2, ..., P^_BLOCK
-#: are stacked once per segment.
+#: States produced per batched product: P, P^2, ..., P^_BLOCK are stacked once
+#: per (segment kind, step) of a row.
 _BLOCK = 64
+#: States validated, and yielded, at once: the blocks of one or more segments.
+_CHUNK = 8 * _BLOCK
 #: Min eig > -TRAJECTORY_MIN_EIG_TOL where a Hermitian part plus this is positive definite.
 _MIN_EIG_SHIFT = TRAJECTORY_MIN_EIG_TOL * np.eye(3)
 
@@ -218,26 +221,30 @@ def apply_projection(rho) -> np.ndarray:
     return np.diag(np.diag(rho)).astype(complex)
 
 
-def _segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]:
-    """Split [0, T] into (start, end, pulse_on, n_steps) pieces at the window edges.
+def _segments(cfg: LindbladConfig):
+    """Yield the (start, end, pulse_on, n_steps) pieces of [0, T], split at the window edges.
 
-    A pulse that would start before the previous measurement, its length
-    within rounding of the spacing, starts at it instead.
+    One piece at a time, so no list grows with the number of pulses.  A pulse
+    that would start before the previous measurement, its length within
+    rounding of the spacing, starts at it instead.
     """
-    t_end = cfg.ion.t_pi
+    t_end, step = cfg.ion.t_pi, cfg.integrator_step
+
+    def piece(a, b, on):
+        return a, b, on, max(1, math.ceil((b - a) / step))
+
     if cfg.schedule is None:
-        segs = [(0.0, t_end, False)]
-    else:
-        n, d = cfg.ion.n_pulses, cfg.schedule.optical_pulse_duration
-        segs, cursor = [], 0.0
-        for k in range(1, n + 1):
-            tk = t_end * (k / n)
-            start = max(tk - d, cursor)
-            if start > cursor:
-                segs.append((cursor, start, False))
-            segs.append((start, tk, True))
-            cursor = tk
-    return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
+        yield piece(0.0, t_end, False)
+        return
+    n, d = cfg.ion.n_pulses, cfg.schedule.optical_pulse_duration
+    cursor = 0.0
+    for k in range(1, n + 1):
+        tk = t_end * (k / n)
+        start = max(tk - d, cursor)
+        if start > cursor:
+            yield piece(cursor, start, False)
+        yield piece(start, tk, True)
+        cursor = tk
 
 
 def _liouvillian(ham: np.ndarray, gamma: float) -> np.ndarray:
@@ -275,7 +282,7 @@ def _positive_definite(a: np.ndarray) -> np.ndarray:
     As reliable as Cholesky, and without LAPACK, whose eigensolver pages in
     about 1 MB of library code.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = a[:, 0, 0].real
         d2 = a[:, 1, 1].real - np.abs(a[:, 1, 0]) ** 2 / d1
         d2_l32 = a[:, 2, 1] - a[:, 2, 0] * a[:, 0, 1] / d1  # d2 times L[2, 1]
@@ -290,7 +297,7 @@ def _validate_block(times: list[float], states: np.ndarray) -> None:
     Comparisons are written so that NaN fails them.
     """
     herm = hermiticity_residue(states)
-    with np.errstate(invalid="ignore"):  # a non-finite state fails, with no warning
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge: fails, no warning
         trace = np.abs(states.trace(axis1=1, axis2=2) - 1.0)
         herm_part = 0.5 * (states + states.conj().swapaxes(1, 2))
     positive = _positive_definite(herm_part + _MIN_EIG_SHIFT)
@@ -307,11 +314,20 @@ def _validate_block(times: list[float], states: np.ndarray) -> None:
     raise IntegrationError(f"state lost {lost}", time=times[i])
 
 
-def _trajectory_blocks(cfg: LindbladConfig, rho0):
-    """Yield validated (times, states) blocks of the trajectory, rho0 at t=0 first.
+def _checked(times: list[float], chunk: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The first len(times) states of a (b, 9, 1) chunk as (b, 3, 3), validated."""
+    states = chunk[:len(times)].reshape(-1, 3, 3)
+    _validate_block(times, states)
+    return times, states
+
+
+def _trajectory_chunks(cfg: LindbladConfig, rho0):
+    """Yield validated (times, states) chunks of the trajectory, rho0 at t=0 first.
 
     Each segment advances by one batched product per block, P^1..P^b times
-    the last state, so no state is skipped by the validation.
+    the last state, written into a chunk of up to ``_CHUNK`` states that runs
+    across segments.  A chunk is validated whole before it is yielded, so no
+    state is skipped by the validation.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
@@ -326,23 +342,27 @@ def _trajectory_blocks(cfg: LindbladConfig, rho0):
         h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
     generators = {False: _liouvillian(h_free, cfg.gamma), True: _liouvillian(h_pulse, cfg.gamma)}
 
-    times, states = [0.0], rho[None]
-    _validate_block(times, states)
-    yield times, states
     vec = rho.reshape(9, 1)
+    yield _checked([0.0], vec[None])
+    step_maps = {}  # one per exact (pulse_on, h, count), so each is built once a row
+    times, chunk = [], np.empty((_CHUNK, 9, 1), dtype=complex)
     for start, end, pulse_on, n_steps in _segments(cfg):
         h = (end - start) / n_steps
-        powers = _rk4_powers(generators[pulse_on], h, min(_BLOCK, n_steps))
+        key = (pulse_on, h, min(_BLOCK, n_steps))
+        if key not in step_maps:
+            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2])
+        powers = step_maps[key]
         for done in range(0, n_steps, len(powers)):
             size = min(len(powers), n_steps - done)
-            block = powers[:size] @ vec
+            if len(times) + size > _CHUNK:
+                yield _checked(times, chunk)
+                times, chunk = [], np.empty((_CHUNK, 9, 1), dtype=complex)
+            block = np.matmul(powers[:size], vec, out=chunk[len(times):len(times) + size])
             vec = block[-1]
-            times = [start + i * h for i in range(done + 1, done + size + 1)]
+            times += [start + i * h for i in range(done + 1, done + size + 1)]
             if done + size == n_steps:
                 times[-1] = end
-            states = block.reshape(size, 3, 3)
-            _validate_block(times, states)
-            yield times, states
+    yield _checked(times, chunk)
 
 
 def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarray]]:
@@ -373,7 +393,7 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarra
     n_states = 1 + sum(seg[3] for seg in _segments(cfg))
     stored = np.empty((n_states, 3, 3), dtype=complex)
     times: list[float] = []
-    for block_times, states in _trajectory_blocks(cfg, rho0):
+    for block_times, states in _trajectory_chunks(cfg, rho0):
         stored[len(times):len(times) + len(states)] = states
         times.extend(block_times)
     stored.flags.writeable = False
@@ -385,7 +405,7 @@ def final_state(cfg: LindbladConfig, rho0) -> np.ndarray:
 
     Every intermediate state is still validated, with the same errors.
     """
-    for _, states in _trajectory_blocks(cfg, rho0):
+    for _, states in _trajectory_chunks(cfg, rho0):
         last = states[-1]
     return last.copy()
 

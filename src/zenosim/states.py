@@ -51,7 +51,8 @@ class Diagnostics(NamedTuple):
 
     The caller decides pass/fail against whatever tolerances apply in its
     context; this function never raises.  A state with a non-finite entry
-    reports a NaN or inf Hermiticity residue and a NaN ``min_eigenvalue``.
+    reports a NaN or inf Hermiticity residue and a NaN ``min_eigenvalue``; a
+    finite one whose sums overflow reports inf residues, with no warning.
     """
 
     hermiticity_residue: float
@@ -72,9 +73,9 @@ def as_density(entries) -> np.ndarray:
 def hermiticity_residue(rho: np.ndarray) -> np.ndarray:
     """max |rho - rho^dagger| entrywise, per matrix of a (..., d, d) stack.
 
-    A non-finite entry gives a NaN or inf residue, and no warning.
+    A non-finite or overflowing entry gives a NaN or inf residue, and no warning.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
@@ -99,7 +100,7 @@ def validate_density(rho) -> Diagnostics:
         smallest eigenvalue of the Hermitian part of ``rho``.
     """
     rho = as_density(rho)
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN residue, not a warning
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308: no warning
         trace = abs(complex(rho.trace()) - 1.0)
         sym = 0.5 * (rho + rho.conj().T)
     return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -28,11 +29,15 @@ from zenosim.dynamics import (
     TRAJECTORY_HERMITICITY_TOL,
     TRAJECTORY_MIN_EIG_TOL,
     TRAJECTORY_TRACE_TOL,
+    _BLOCK,
+    _CHUNK,
     _positive_definite,
+    _rk4_powers,
     _segments,
     _validate_block,
     final_state,
 )
+from zenosim.states import hermiticity_residue
 
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -334,6 +339,26 @@ class TestIntegrateLindblad:
                     run(cfg, rho0)
             assert err.value.time == 0.0
 
+    @pytest.mark.parametrize(
+        "entries, lost",
+        [
+            ({(0, 1): 1e200, (1, 0): 1e200}, "positivity (min eig -1.000e+200)"),
+            ({(0, 0): 1e308, (1, 1): 1e308, (2, 2): -1e308}, "unit trace (residue inf)"),
+        ],
+        ids=["huge-coherence", "overflowing-trace"],
+    )
+    def test_huge_finite_initial_state_rejected(self, entries, lost):
+        rho0 = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        for entry, value in entries.items():
+            rho0[entry] = value
+        cfg = LindbladConfig(IonConfig(1.0, 0.1, 1))
+        for run in (integrate_lindblad, final_state):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError) as err:
+                    run(cfg, rho0)
+            assert (err.value.message, err.value.time) == (f"state lost {lost}", 0.0)
+
     def test_lost_trace_reported(self):
         cfg = LindbladConfig(IonConfig(1.0, 0.1, 1))
         for run in (integrate_lindblad, final_state):
@@ -438,7 +463,7 @@ class TestEquispacedSchedule:
             ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
         )
         cfg = LindbladConfig(ion, sched)
-        segments = _segments(cfg)
+        segments = list(_segments(cfg))
         assert segments == listed_segments(cfg)
         with mock.patch("zenosim.dynamics._segments", listed_segments):
             want = final_state(cfg, GROUND3)
@@ -448,6 +473,53 @@ class TestEquispacedSchedule:
         with mock.patch("zenosim.dynamics.MAX_STEPS", math.nextafter(total, 0)):
             with pytest.raises(ConfigError, match="more than the limit"):
                 LindbladConfig(ion, sched)
+
+
+class TestChunkedEngine:
+    """Stepping in blocks per segment, validation in chunks across segments."""
+
+    def test_segments_are_lazy(self):
+        ion = IonConfig(1.0, 0.1, 10**7)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, pulse_area=1e-9))
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(_segments(cfg), 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [seg[2] for seg in first] == [False, True] * 5
+        assert [seg[3] for seg in first] == [1] * 10
+        assert peak < 1e6
+
+    def test_step_maps_built_once_per_row(self):
+        # The n = 8 row of the lindblad-check benchmark: 16 segments, 4 step maps.
+        ion = IonConfig(1.0, math.pi / 8 / 20, 8)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
+        steps = sum(seg[3] for seg in _segments(cfg))
+        with mock.patch("zenosim.dynamics._rk4_powers", wraps=_rk4_powers) as build, \
+                mock.patch("zenosim.dynamics._validate_block", wraps=_validate_block) as gate:
+            final_state(cfg, GROUND3)
+        assert build.call_count == 4
+        # Every chunk but the last holds more than _CHUNK - _BLOCK states.
+        assert gate.call_count <= 2 + steps / (_CHUNK - _BLOCK)
+
+    def test_failure_in_later_segment_of_chunk(self):
+        # One-step segments, so a chunk spans _CHUNK segments; a patched
+        # tolerance fails a state inside one, after others that pass.
+        ion = IonConfig(1.0, 0.1, 2000)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, pulse_area=1e-9))
+        assert {seg[3] for seg in _segments(cfg)} == {1}
+        traj = integrate_lindblad(cfg, GROUND3)
+        residues = hermiticity_residue(np.array([rho for _, rho in traj]))
+        tol = float(np.max(residues[:_CHUNK + 100]))
+        first = int(np.argmax(residues > tol))
+        assert residues[first] > tol and (first - 1) % _CHUNK > 0
+        lost = f"state lost Hermiticity (residue {residues[first]:.3e})"
+        with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", tol):
+            for run in (integrate_lindblad, final_state):
+                with pytest.raises(IntegrationError) as err:
+                    run(cfg, GROUND3)
+                assert (err.value.message, err.value.time) == (lost, traj[first][0])
 
 
 class TestPopulations:

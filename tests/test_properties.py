@@ -63,7 +63,7 @@ def test_pulses_as_long_as_the_spacing_tile_the_drive(omega, n, ulps):
     # before the previous measurement, where it must start instead.
     ion = IonConfig(omega, 0.1 / omega, n)
     sched = PulseSchedule.equispaced(ion, duration_fraction=1.0 - ulps * 2.0**-53)
-    segments = _segments(LindbladConfig(ion, sched))
+    segments = list(_segments(LindbladConfig(ion, sched)))
     assert segments[0][0] == 0.0 and segments[-1][1] == ion.t_pi
     assert all(end > start for start, end, _, _ in segments)
     assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))

@@ -136,6 +136,16 @@ class TestValidateDensity:
         # eigvalsh would raise here; a 0.0 would let an eigenvalue-only check pass.
         assert np.isnan(validate_density(rho).min_eigenvalue)
 
+    def test_overflowing_antihermitian_coherence(self):
+        # 1e308 - (-1e308) overflows: an inf residue, and no warning.
+        diag = validate_density([[0.5, 1e308], [-1e308, 0.5]])
+        assert (diag.hermiticity_residue, diag.trace_residue) == (np.inf, 0.0)
+
+    def test_overflowing_trace(self):
+        diag = validate_density(np.diag([1e308, 1e308, -1e308]))
+        assert (diag.hermiticity_residue, diag.trace_residue) == (0.0, np.inf)
+        assert np.isnan(diag.min_eigenvalue)
+
 
 class TestHermiticityResidue:
     def test_stack_matches_each_matrix(self):
