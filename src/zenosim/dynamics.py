@@ -23,11 +23,11 @@ convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
 
 The equation is linear, so inside a segment one RK4 step is a fixed 9x9 map
 on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
-(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks, P..P^b times
-the last state in one batched product, with each P^k built once per row for
-each segment kind and step.  Blocks fill chunks of up to 512 states that run
-across segments, and each chunk is validated at once (trace, Hermiticity,
-positivity) before it is handed on.
+(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks: P..P^b, built
+once per row for each segment kind and step, are stacked into one (9b, 9)
+matrix that takes the last state to the next b.  Blocks fill chunks of up to
+512 states that run across segments; each chunk is validated at once before it
+is handed on, and carries one record per block, not a time per state.
 """
 
 from __future__ import annotations
@@ -39,22 +39,21 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, as_density, hermiticity_residue, min_eigenvalue
+from .states import BlochVector, as_density, hermiticity_residue, validate_density
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
 #: which a config is refused up front.  A step inside a long segment costs about
-#: 0.75 us (numpy 2.4, 2.0 GHz Xeon), about 75 s at the limit; a one-step
-#: segment 6.5-8 us, so a row of them at the limit runs 11-13 minutes.
+#: 0.45 us (numpy 2.4, 2.0 GHz Xeon), about 45 s at the limit; a one-step
+#: segment 5.5-7 us, so a row of them at the limit runs 9-12 minutes.
 MAX_STEPS = 10**8
-#: States produced per batched product: P, P^2, ..., P^_BLOCK are stacked once
-#: per (segment kind, step) of a row.
+#: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
 _BLOCK = 64
 #: States validated, and yielded, at once: the blocks of one or more segments.
 _CHUNK = 8 * _BLOCK
-#: Min eig > -TRAJECTORY_MIN_EIG_TOL where a Hermitian part plus this is positive definite.
-_MIN_EIG_SHIFT = TRAJECTORY_MIN_EIG_TOL * np.eye(3)
+#: Rows per product, half a block: numpy's OpenBLAS runs one of over 4096 entries on every core.
+_PRODUCT_ROWS = 9 * _BLOCK // 2
 
 
 @dataclass(frozen=True)
@@ -276,58 +275,58 @@ def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:
     return powers
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of a (b, 3, 3) stack has all LDL^H pivots > 0.
+def _positive_definite(cols: np.ndarray) -> np.ndarray:
+    """Whether each state's Hermitian part plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
 
-    As reliable as Cholesky, and without LAPACK, whose eigensolver pages in
-    about 1 MB of library code.
+    Row k of ``cols`` is entry k of each state's row-major vec(rho).  As reliable
+    as Cholesky, and without LAPACK, whose eigensolver pages in about 1 MB of library code.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d1 = a[:, 0, 0].real
-        d2 = a[:, 1, 1].real - np.abs(a[:, 1, 0]) ** 2 / d1
-        d2_l32 = a[:, 2, 1] - a[:, 2, 0] * a[:, 0, 1] / d1  # d2 times L[2, 1]
-        d3 = a[:, 2, 2].real - np.abs(a[:, 2, 0]) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
+        a10, a20, a21 = (0.5 * (cols[low] + cols[up].conj()) for low, up in ((3, 1), (6, 2), (7, 5)))
+        d1 = cols[0].real + TRAJECTORY_MIN_EIG_TOL
+        d2 = cols[4].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a10) ** 2 / d1
+        d2_l32 = a21 - a20 * a10.conj() / d1  # d2 times L[2, 1]
+        d3 = cols[8].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a20) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
     return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
-def _validate_block(times: list[float], states: np.ndarray) -> None:
-    """Raise at the earliest state of the (b, 3, 3) stack that breaks an invariant.
+def _times(blocks: list[tuple]) -> list[float]:
+    """Times of a chunk's states, from its block records; a segment's last is at its end exactly."""
+    return [end if end is not None and i == first + size - 1 else start + i * h
+            for start, h, first, size, end in blocks for i in range(first, first + size)]
+
+
+def _validate_block(blocks: list[tuple], rows: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """A chunk's (b, 9) vec rows as (blocks, (b, 3, 3) states), or raise at the earliest bad state.
 
     At that state Hermiticity is reported first, then trace, then positivity.
     Comparisons are written so that NaN fails them.
     """
-    herm = hermiticity_residue(states)
+    cols = rows.T.copy()  # each entry contiguous over the chunk: every check below is elementwise
+    herm = hermiticity_residue(cols.T.reshape(-1, 3, 3))
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge: fails, no warning
-        trace = np.abs(states.trace(axis1=1, axis2=2) - 1.0)
-        herm_part = 0.5 * (states + states.conj().swapaxes(1, 2))
-    positive = _positive_definite(herm_part + _MIN_EIG_SHIFT)
+        trace = np.abs(cols[0] + cols[4] + cols[8] - 1.0)
+    positive = _positive_definite(cols)
     ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
     if ok.all():
-        return
+        return blocks, rows.reshape(-1, 3, 3)
     i = int(np.argmin(ok))
     if not herm[i] <= TRAJECTORY_HERMITICITY_TOL:
         lost = f"Hermiticity (residue {herm[i]:.3e})"
     elif not trace[i] <= TRAJECTORY_TRACE_TOL:
         lost = f"unit trace (residue {trace[i]:.3e})"
-    else:
-        lost = f"positivity (min eig {min_eigenvalue(herm_part[i]):.3e})"
-    raise IntegrationError(f"state lost {lost}", time=times[i])
-
-
-def _checked(times: list[float], chunk: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The first len(times) states of a (b, 9, 1) chunk as (b, 3, 3), validated."""
-    states = chunk[:len(times)].reshape(-1, 3, 3)
-    _validate_block(times, states)
-    return times, states
+    else:  # the smallest eigenvalue of its Hermitian part
+        lost = f"positivity (min eig {validate_density(rows[i].reshape(3, 3)).min_eigenvalue:.3e})"
+    raise IntegrationError(f"state lost {lost}", time=_times(blocks)[i])
 
 
 def _trajectory_chunks(cfg: LindbladConfig, rho0):
-    """Yield validated (times, states) chunks of the trajectory, rho0 at t=0 first.
+    """Yield validated (blocks, states) chunks of the trajectory, rho0 at t=0 first.
 
-    Each segment advances by one batched product per block, P^1..P^b times
-    the last state, written into a chunk of up to ``_CHUNK`` states that runs
-    across segments.  A chunk is validated whole before it is yielded, so no
-    state is skipped by the validation.
+    Each segment advances a block at a time, P^1..P^b times the last state,
+    into a chunk of up to ``_CHUNK`` states that runs across segments and is
+    validated whole before it is yielded.  ``blocks`` holds no times but one
+    (start, h, first, size, end) per block: see :func:`_times`.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
@@ -342,27 +341,28 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
         h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
     generators = {False: _liouvillian(h_free, cfg.gamma), True: _liouvillian(h_pulse, cfg.gamma)}
 
-    vec = rho.reshape(9, 1)
-    yield _checked([0.0], vec[None])
+    vec = rho.reshape(9)
+    yield _validate_block([(0.0, 0.0, 0, 1, None)], vec[None])
     step_maps = {}  # one per exact (pulse_on, h, count), so each is built once a row
-    times, chunk = [], np.empty((_CHUNK, 9, 1), dtype=complex)
+    blocks, filled, chunk = [], 0, np.empty((_CHUNK, 9), dtype=complex)
     for start, end, pulse_on, n_steps in _segments(cfg):
         h = (end - start) / n_steps
         key = (pulse_on, h, min(_BLOCK, n_steps))
-        if key not in step_maps:
-            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2])
+        if key not in step_maps:  # P^1..P^count stacked as one (9 * count, 9) matrix
+            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2]).reshape(-1, 9)
         powers = step_maps[key]
-        for done in range(0, n_steps, len(powers)):
-            size = min(len(powers), n_steps - done)
-            if len(times) + size > _CHUNK:
-                yield _checked(times, chunk)
-                times, chunk = [], np.empty((_CHUNK, 9, 1), dtype=complex)
-            block = np.matmul(powers[:size], vec, out=chunk[len(times):len(times) + size])
-            vec = block[-1]
-            times += [start + i * h for i in range(done + 1, done + size + 1)]
-            if done + size == n_steps:
-                times[-1] = end
-    yield _checked(times, chunk)
+        for done in range(0, n_steps, key[2]):
+            size = min(key[2], n_steps - done)
+            if filled + size > _CHUNK:
+                yield _validate_block(blocks, chunk[:filled])
+                blocks, filled, chunk = [], 0, np.empty((_CHUNK, 9), dtype=complex)
+            out = chunk[filled:filled + size].reshape(-1)
+            for lo in range(0, len(out), _PRODUCT_ROWS):  # by halves: the bits of one product
+                np.matmul(powers[lo:len(out)][:_PRODUCT_ROWS], vec, out=out[lo:lo + _PRODUCT_ROWS])
+            filled += size
+            vec = chunk[filled - 1]
+            blocks.append((start, h, done + 1, size, end if done + size == n_steps else None))
+    yield _validate_block(blocks, chunk[:filled])
 
 
 def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarray]]:
@@ -393,9 +393,9 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarra
     n_states = 1 + sum(seg[3] for seg in _segments(cfg))
     stored = np.empty((n_states, 3, 3), dtype=complex)
     times: list[float] = []
-    for block_times, states in _trajectory_chunks(cfg, rho0):
+    for blocks, states in _trajectory_chunks(cfg, rho0):
         stored[len(times):len(times) + len(states)] = states
-        times.extend(block_times)
+        times += _times(blocks)
     stored.flags.writeable = False
     return list(zip(times, stored))
 
@@ -403,7 +403,7 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarra
 def final_state(cfg: LindbladConfig, rho0) -> np.ndarray:
     """Last state of :func:`integrate_lindblad`'s trajectory, storing no other.
 
-    Every intermediate state is still validated, with the same errors.
+    Every intermediate state is still validated, with the same errors, and no time is made.
     """
     for _, states in _trajectory_chunks(cfg, rho0):
         last = states[-1]

@@ -378,7 +378,10 @@ class TestIntegrateLindblad:
         everything = np.diag([1.5, -0.4, 0.0]).astype(complex)
         everything[0, 1] = 1e-3  # all three checks
         trace_and_positivity = np.diag([1.5, -0.4, 0.0]).astype(complex)
-        times = [0.0, 0.1, 0.2, 0.3]
+
+        def gate(stack):  # one block at times 0.0, 0.1, 0.2, ...
+            _validate_block([(0.0, 0.1, 0, len(stack), None)], np.array(stack).reshape(-1, 9))
+
         cases = [
             ([good, negative, everything], "positivity (min eig -5.000e-01)", 0.1),
             ([good, everything, negative], "Hermiticity (residue 1.000e-03)", 0.1),
@@ -386,9 +389,9 @@ class TestIntegrateLindblad:
         ]
         for stack, lost, time in cases:
             with pytest.raises(IntegrationError) as err:
-                _validate_block(times[:len(stack)], np.array(stack))
+                gate(stack)
             assert (err.value.message, err.value.time) == (f"state lost {lost}", time)
-        _validate_block(times, np.array([good] * 4))
+        gate([good] * 4)
 
     def test_failure_reported_at_earliest_state(self):
         # Two negative eigenvalues inside tolerance at t=0: the decay pours
@@ -418,7 +421,7 @@ class TestIntegrateLindblad:
         ], axis=1)
         herm = (basis * spectrum[:, None, :]) @ basis.conj().swapaxes(1, 2)
         want = np.linalg.eigvalsh(herm)[:, 0] >= -TRAJECTORY_MIN_EIG_TOL
-        got = _positive_definite(herm + TRAJECTORY_MIN_EIG_TOL * np.eye(3))
+        got = _positive_definite(herm.reshape(-1, 9).T)
         assert want.any() and not want.all()
         np.testing.assert_array_equal(got, want)
 
@@ -520,6 +523,45 @@ class TestChunkedEngine:
                 with pytest.raises(IntegrationError) as err:
                     run(cfg, GROUND3)
                 assert (err.value.message, err.value.time) == (lost, traj[first][0])
+
+    def test_failure_time_made_from_block_records(self):
+        # A tolerance patched to the largest residue before a chosen state
+        # fails that state: the last of a multi-block segment, whose time is
+        # the segment's end and not start + n_steps * h, and one inside a
+        # block of a later chunk, at start + i * h.
+        ion = IonConfig(1.0, 0.1, 3)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05))
+        segments = list(_segments(cfg))
+        traj = integrate_lindblad(cfg, GROUND3)
+        states = np.array([rho for _, rho in traj])
+        herm = hermiticity_residue(states)
+        trace = np.abs(states.trace(axis1=1, axis2=2) - 1.0)
+        start, end, _, n_steps = segments[0]
+        assert n_steps > _BLOCK and start + n_steps * ((end - start) / n_steps) != end
+        later_start, later_end, _, later_steps = segments[4]  # the third gap
+        base = sum(seg[3] for seg in segments[:4])
+        i = next(i for i in range(1, later_steps)
+                 if 0 < (i - 1) % _BLOCK < _BLOCK - 1 and trace[base + i] > trace[:base + i].max())
+        cases = [
+            ("TRAJECTORY_HERMITICITY_TOL", "Hermiticity", herm, n_steps, end),
+            ("TRAJECTORY_TRACE_TOL", "unit trace", trace, base + i,
+             later_start + i * ((later_end - later_start) / later_steps)),
+        ]
+        assert base + i > _CHUNK + 1
+        for name, check, residues, index, time in cases:
+            assert residues[index] > residues[:index].max() and traj[index][0] == time
+            lost = f"state lost {check} (residue {residues[index]:.3e})"
+            with mock.patch(f"zenosim.dynamics.{name}", float(residues[:index].max())):
+                for run in (integrate_lindblad, final_state):
+                    with pytest.raises(IntegrationError) as err:
+                        run(cfg, GROUND3)
+                    assert (err.value.message, err.value.time) == (lost, time)
+
+    def test_final_state_makes_no_times(self):
+        ion = IonConfig(1.0, 0.1, 4)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
+        with mock.patch("zenosim.dynamics._times", side_effect=AssertionError("times made")):
+            final_state(cfg, GROUND3)
 
 
 class TestPopulations:

@@ -5,20 +5,35 @@ neutron tables the CLI writes (CSV, and JSON with its timestamp masked) are
 stored next to it, and ``config_cases.json`` records what ``parse_config``
 makes of those configs and of one malformed file per kind of fault: the
 parsed ``repr``, or the error type, ``ConfigError.field`` and message.
+``engine_reference.json`` pins the Lindblad integrator exactly: the final
+states of a few rows, and the count, times and states of two whole
+trajectories (times and states as SHA-256 of their little-endian bytes).
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
 change to the numbers or messages is intended.
 """
 
+import hashlib
+import itertools
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zenosim import ZenoSimError, parse_config
+from zenosim import (
+    IonConfig,
+    LindbladConfig,
+    PulseSchedule,
+    ZenoSimError,
+    integrate_lindblad,
+    parse_config,
+)
 from zenosim.cli import main
+from zenosim.dynamics import final_state
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +85,41 @@ MALFORMED = {
 }
 
 
+def _engine_setups() -> tuple[dict, dict]:
+    """Rows whose final state is pinned, and the ``verify`` benchmark's trajectories."""
+    finals = {}
+    for n, tau_sp, rf in itertools.product((1, 4, 64), (0.1, 0.01), (True, False)):
+        ion = IonConfig(1.0, tau_sp, n)
+        schedule = PulseSchedule.equispaced(ion, rf_during_pulse=rf)
+        finals[f"n={n} tau_sp={tau_sp} rf_during_pulse={rf}"] = LindbladConfig(ion, schedule)
+    ion = IonConfig(1.0, 0.1, 2000)  # 4,000 one-step segments
+    schedule = PulseSchedule.equispaced(ion, pulse_area=1e-9)
+    finals["n=2000 pulse_area=1e-9"] = LindbladConfig(ion, schedule)
+    trajectories = {}
+    for ratio in (10, 100):  # n = 4, T/tau_sp = 10 and 100, pulses 5% of the spacing
+        ion = IonConfig(1.0, math.pi / ratio, 4)
+        schedule = PulseSchedule.equispaced(ion, duration_fraction=0.05)
+        trajectories[f"n=4 T/tau_sp={ratio}"] = LindbladConfig(ion, schedule)
+    return finals, trajectories
+
+
+def _engine_reference() -> dict:
+    rho0 = np.diag([1.0, 0.0, 0.0])
+    finals, trajectories = _engine_setups()
+    digest = lambda values, dtype: hashlib.sha256(np.array(values, dtype=dtype).tobytes()).hexdigest()
+    ref = {"final_states": {}, "trajectories": {}}
+    for name, cfg in finals.items():
+        ref["final_states"][name] = [[z.real, z.imag] for z in final_state(cfg, rho0).ravel().tolist()]
+    for name, cfg in trajectories.items():
+        traj = integrate_lindblad(cfg, rho0)
+        ref["trajectories"][name] = {
+            "states": len(traj),
+            "times_sha256": digest([t for t, _ in traj], "<f8"),
+            "states_sha256": digest([rho for _, rho in traj], "<c16"),
+        }
+    return ref
+
+
 def _mask_timestamp(text: bytes) -> bytes:
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": "<masked>"', text)
 
@@ -118,6 +168,15 @@ def test_config_outcomes(tmp_path):
         assert got[name] == want[name], name
 
 
+def test_engine_reference():
+    want = json.loads((DATA / "engine_reference.json").read_text(encoding="utf-8"))
+    got = _engine_reference()
+    assert got["trajectories"] == want["trajectories"]
+    assert got["final_states"].keys() == want["final_states"].keys()
+    for name, state in want["final_states"].items():  # as bytes, so -0.0 != 0.0
+        assert np.array(got["final_states"][name]).tobytes() == np.array(state).tobytes(), name
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -129,4 +188,6 @@ if __name__ == "__main__":
                 (DATA / f"{name}.{command}.{fmt}").write_bytes(golden)
         cases = json.dumps(_outcomes(work), indent=2) + "\n"
         (DATA / "config_cases.json").write_text(cases, encoding="utf-8")
+    engine = json.dumps(_engine_reference(), indent=2) + "\n"
+    (DATA / "engine_reference.json").write_text(engine, encoding="utf-8")
     sys.exit(0)
