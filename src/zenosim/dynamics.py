@@ -216,8 +216,7 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
 
 def apply_projection(rho) -> np.ndarray:
     """Projective population measurement: zero the coherences, keep the diagonal."""
-    rho = as_density(rho)
-    return np.diag(np.diag(rho)).astype(complex)
+    return np.diag(as_density(rho).diagonal())
 
 
 def _segments(cfg: LindbladConfig):
@@ -246,16 +245,16 @@ def _segments(cfg: LindbladConfig):
         cursor = tk
 
 
+# Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator |0><2|
+# (the auxiliary level decays to the lower level only) and its number operator
+# |2><2| are real, so no conjugate or transpose of them appears.
+_EYE3 = np.eye(3)
+_JUMP, _NUMBER = np.outer(_EYE3[0], _EYE3[2]), np.diag(_EYE3[2])
+_DISSIPATOR = np.kron(_JUMP, _JUMP) - 0.5 * (np.kron(_NUMBER, _EYE3) + np.kron(_EYE3, _NUMBER))
+
+
 def _liouvillian(ham: np.ndarray, gamma: float) -> np.ndarray:
-    # Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator
-    # |0><2| and its number operator |2><2| are real, so no conjugate or
-    # transpose of them appears.
-    eye = np.eye(3)
-    jump = np.zeros((3, 3))
-    jump[0, 2] = 1.0  # |0><2|: the auxiliary level decays to the lower level only
-    number = np.diag([0.0, 0.0, 1.0])
-    dissipator = np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
-    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + gamma * dissipator
+    return -1j * (np.kron(ham, _EYE3) - np.kron(_EYE3, ham.T)) + gamma * _DISSIPATOR
 
 
 def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:

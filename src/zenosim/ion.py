@@ -53,7 +53,8 @@ def simulate_projective_sequence(cfg: IonConfig) -> float:
 
     Starting from the lower level, alternately rotates the Bloch vector for
     T/N and applies the projective measurement through the density-matrix
-    map, N times, then reads off the upper-level population (r3 + 1)/2.
+    map, N times, then reads off the upper-level population (r3 + 1)/2, a
+    plain Python float.
     """
     r = BlochVector(0.0, 0.0, -1.0)
     dt = cfg.t_pi / cfg.n_pulses

@@ -43,7 +43,7 @@ class BlochVector(NamedTuple):
     r3: float
 
     def norm(self) -> float:
-        return math.sqrt(self.r1**2 + self.r2**2 + self.r3**2)
+        return math.hypot(self.r1, self.r2, self.r3)
 
 
 class Diagnostics(NamedTuple):
@@ -100,14 +100,15 @@ def validate_density(rho) -> Diagnostics:
         smallest eigenvalue of the Hermitian part of ``rho``.
     """
     rho = as_density(rho)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308: no warning
-        trace = abs(complex(rho.trace()) - 1.0)
+    # Python complex sums, left to right as numpy's: inf - inf or 1e308 + 1e308 does not warn.
+    trace = abs(sum(rho.diagonal().tolist()) - 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
         sym = 0.5 * (rho + rho.conj().T)
     return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
 
 
 def bloch_from_density(rho) -> BlochVector:
-    """Map a 2x2 density matrix to its Bloch vector.
+    """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
 
     Raises
     ------
@@ -121,9 +122,8 @@ def bloch_from_density(rho) -> BlochVector:
     herm = float(hermiticity_residue(rho))
     if not herm <= HERMITICITY_TOL:
         raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-    r1 = rho[0, 1] + rho[1, 0]
-    r2 = 1j * (rho[0, 1] - rho[1, 0])
-    r3 = rho[1, 1] - rho[0, 0]
+    (rho_11, rho_12), (rho_21, rho_22) = rho.tolist()
+    r1, r2, r3 = rho_12 + rho_21, 1j * (rho_12 - rho_21), rho_22 - rho_11
     # For a Hermitian input these are real up to rounding; the residue bound
     # above already caps the imaginary parts.
     return BlochVector(r1.real, r2.real, r3.real)

@@ -75,6 +75,10 @@ class TestProjectiveOracle:
         )
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_returns_python_float(self, n):
+        assert type(simulate_projective_sequence(ion_with_product(0.01, n))) is float
+
     def test_independent_of_rabi_frequency(self):
         for omega in (0.25, 1.0, 7.5):
             cfg = IonConfig(omega, 0.01, 16)

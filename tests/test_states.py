@@ -1,5 +1,7 @@
 """Tests for the density-matrix values and the Bloch-vector map."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,16 @@ from zenosim import (
     BlochVector,
     InvalidStateError,
     NonphysicalStateError,
+    apply_projection,
     bloch_from_density,
     density_from_bloch,
     validate_density,
 )
 from zenosim.states import (
     BLOCH_NORM_TOL,
+    HERMITICITY_TOL,
     ROUND_TRIP_TOL,
+    Diagnostics,
     as_density,
     hermiticity_residue,
     min_eigenvalue,
@@ -66,6 +71,10 @@ class TestBlochFromDensity:
         with pytest.raises(InvalidStateError, match="not Hermitian"):
             bloch_from_density(rho)
 
+    def test_fields_are_python_floats(self):
+        rho = density_from_bloch(BlochVector(0.6, -0.3, 0.2))
+        assert [type(x) for x in bloch_from_density(rho)] == [float] * 3
+
 
 class TestDensityFromBloch:
     def test_south_pole(self):
@@ -83,6 +92,15 @@ class TestDensityFromBloch:
     def test_nan_component_rejected(self, r):
         with pytest.raises(NonphysicalStateError):
             density_from_bloch(BlochVector(*r))
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize(
+        "r", [(1e200, 0.0, 0.0), (0.0, -1e300, 1e300), (1.7e308, 1.7e308, 1.7e308)]
+    )
+    def test_huge_components_rejected(self, kind, r):
+        # A sum of squares overflows: OverflowError on floats, a warning on np.float64.
+        with pytest.raises(NonphysicalStateError, match="exceeds 1"):
+            density_from_bloch(BlochVector(*map(kind, r)))
 
     def test_norm_tolerance_edge_accepted(self):
         density_from_bloch(BlochVector(1.0 + BLOCH_NORM_TOL / 2, 0.0, 0.0))
@@ -200,3 +218,84 @@ class TestClosedFormEigenvalues:
             weights[:rank] = rng.dirichlet(np.ones(rank))
             rho = (unitary * weights) @ unitary.conj().T
             assert abs(validate_density(rho).min_eigenvalue) < 1e-14
+
+
+# The state helpers' formulas written on numpy arrays and numpy scalars: the
+# reference for their bits.
+def _array_validate(rho):
+    rho = as_density(rho)
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = abs(complex(rho.trace()) - 1.0)
+        sym = 0.5 * (rho + rho.conj().T)
+    return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
+
+
+def _array_bloch(rho):
+    rho = as_density(rho)
+    if not float(hermiticity_residue(rho)) <= HERMITICITY_TOL:
+        return None
+    r1 = rho[0, 1] + rho[1, 0]
+    r2 = 1j * (rho[0, 1] - rho[1, 0])
+    r3 = rho[1, 1] - rho[0, 0]
+    return r1.real, r2.real, r3.real
+
+
+def _array_projection(rho):
+    return np.diag(np.diag(as_density(rho))).astype(complex)
+
+
+def _same_bits(a, b):
+    """Equal floats with the same sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _bit_test_states():
+    """Seeded 2x2 and 3x3 matrices, Hermitian and not, scaled 1e-300..1e307, and edge entries."""
+    rng = np.random.default_rng(11)
+    states = []
+    for dim in (2, 3):
+        for scale in np.logspace(-300, 307, 61):
+            for _ in range(4):
+                a, b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+                herm = 0.5 * (a + a.conj().T)
+                states += [scale * a, scale * herm, scale * (herm + 1e-14 * b)]
+                states.append(scale * (herm + np.eye(dim)) / dim)
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324])
+        for _ in range(200):
+            a = rng.choice(tiny, size=(dim, dim)) + 1j * rng.choice(tiny, size=(dim, dim))
+            states += [a, np.triu(a) + np.triu(a, 1).conj().T]
+    states += list(NON_FINITE_2X2.values())
+    states += [np.diag([1.0, 0.0, np.nan]), np.diag([np.inf, 0.0, 0.0]), np.full((3, 3), np.nan)]
+    states += [np.array([[0.5, 1e308], [-1e308, 0.5]]), np.diag([1e308, 1e308, -1e308])]
+    return states
+
+
+class TestSameBitsAsArrayFormulas:
+    """The helpers compute on Python scalars what the array formulas above compute on numpy ones."""
+
+    STATES = _bit_test_states()
+
+    def test_validate_density(self):
+        for rho in self.STATES:
+            got, want = validate_density(rho), _array_validate(rho)
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
+
+    def test_bloch_from_density(self):
+        accepted = 0
+        for rho in (rho for rho in self.STATES if rho.shape == (2, 2)):
+            want = _array_bloch(rho)
+            if want is None:
+                with pytest.raises(InvalidStateError):
+                    bloch_from_density(rho)
+                continue
+            got = bloch_from_density(rho)
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
+            accepted += 1
+        assert accepted > 1000
+
+    def test_apply_projection(self):
+        for rho in self.STATES:
+            got, want = apply_projection(rho), _array_projection(rho)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
