@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
-    if getattr(args, "n_list", None) is not None:
+    if args.n_list is not None:
         updates["n_list"] = parse_n_list(args.n_list, field_name="--n-list")
     if getattr(args, "format", None) is not None:
         updates["out_format"] = args.format
@@ -63,14 +63,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _run_table(cfg: RunConfig, runner) -> int:
-    result = runner(cfg)
-    emit(result, format=cfg.out_format, destination=cfg.out_path)
-    return 0
-
-
 def _run_lindblad_check(cfg: RunConfig) -> int:
-    counts = cfg.n_list or _DEFAULT_CHECK_COUNTS
+    counts = _DEFAULT_CHECK_COUNTS if cfg.n_list is None else cfg.n_list
     setups = lindblad_setups(cfg, counts)  # a bad row fails here, before anything is printed
     worst = 0.0
     print("n,p2_projection,p2_lindblad,abs_deviation")
@@ -92,11 +86,11 @@ def main(argv=None) -> int:
             print(f"{args.config}: OK")
             return 0
         cfg = _apply_overrides(cfg, args)
-        if args.command == "ion":
-            return _run_table(cfg, run_ion_sweep)
-        if args.command == "neutron":
-            return _run_table(cfg, run_neutron_sweep)
-        return _run_lindblad_check(cfg)
+        if args.command == "lindblad-check":
+            return _run_lindblad_check(cfg)
+        runner = run_ion_sweep if args.command == "ion" else run_neutron_sweep
+        emit(runner(cfg), format=cfg.out_format, destination=cfg.out_path)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

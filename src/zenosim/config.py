@@ -83,12 +83,10 @@ def _fraction(raw: str, field_name: str) -> float:
 
 
 def _boolean(raw: str, field_name: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}", field=field_name)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"not a boolean: {raw!r}", field=field_name) from None
 
 
 def _out_format(raw: str, field_name: str) -> str:

@@ -33,7 +33,7 @@ is handed on, and carries one record per block, not a time per state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,8 +138,8 @@ class PulseSchedule:
         """
         if not 0 < duration_fraction < 1:
             raise ConfigError("must be in (0, 1)", field="schedule.pulse_duration_fraction")
-        if not pulse_area > 0:
-            raise ConfigError("must be > 0", field="schedule.pulse_area")
+        if not (math.isfinite(pulse_area) and pulse_area > 0):
+            raise ConfigError("must be finite and > 0", field="schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         return cls(duration, pulse_area / duration, rf_during_pulse)
 
@@ -156,7 +156,7 @@ class LindbladConfig:
 
     ion: IonConfig
     schedule: PulseSchedule | None = None
-    integrator_step: float = field(default=None)  # type: ignore[assignment]
+    integrator_step: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         segments = 1

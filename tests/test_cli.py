@@ -201,6 +201,16 @@ class TestLindbladCheckCommand:
         assert err.startswith("config error: lindblad.integrator_step")
         assert len(err.splitlines()) == 1
 
+    def test_empty_n_list_replaces_the_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n")
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main(["lindblad-check", "--config", str(cfg), "--n-list", ""]) == 0
+        assert capsys.readouterr().out == (
+            "n,p2_projection,p2_lindblad,abs_deviation\n"
+            "max deviation: 0.000e+00 (tolerance 0.05)\n"
+        )
+
     def test_bad_row_prints_nothing(self, tmp_path, capsys):
         # every row's setup is checked before the header is printed
         cfg = tmp_path / "tiny.cfg"

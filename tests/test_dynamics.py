@@ -214,6 +214,12 @@ class TestConfigs:
         assert sched.optical_pulse_duration == pytest.approx(0.05 * spacing)
         assert sched.optical_rabi * sched.optical_pulse_duration == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_pulse_area_names_its_field(self, area):
+        with pytest.raises(ConfigError) as err:
+            PulseSchedule.equispaced(IonConfig(1.0, 0.01, 4), pulse_area=area)
+        assert err.value.field == "schedule.pulse_area"
+
     def test_pulse_longer_than_spacing_rejected(self):
         ion = IonConfig(1.0, 0.01, 4)
         with pytest.raises(ConfigError):

@@ -164,6 +164,11 @@ class TestValidateDensity:
         assert (diag.hermiticity_residue, diag.trace_residue) == (0.0, np.inf)
         assert np.isnan(diag.min_eigenvalue)
 
+    def test_overflowing_trace_modulus(self):
+        # tr - 1 has finite parts, but |tr - 1| exceeds the float range: inf, not OverflowError.
+        diag = validate_density([[1.5e308 + 1.5e308j, 0], [0, 0]])
+        assert diag.trace_residue == np.inf
+
 
 class TestHermiticityResidue:
     def test_stack_matches_each_matrix(self):

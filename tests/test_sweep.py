@@ -304,6 +304,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="ion.omega"):
             parse_config(path)
 
+    @pytest.mark.parametrize("spelling, value", [
+        (word, value)
+        for words, value in ((("1", "yes", "true", "on"), True), (("0", "no", "false", "off"), False))
+        for base in words
+        for word in dict.fromkeys((base, base.upper(), base.capitalize()))
+    ])
+    def test_boolean_vocabulary(self, tmp_path, spelling, value):
+        path = self.write(
+            tmp_path, f"[schedule]\nrf_during_pulse =  {spelling}  \n[sweep]\nlindblad = {spelling}\t\n"
+        )
+        cfg = parse_config(path)
+        assert cfg.schedule.rf_during_pulse is value
+        assert cfg.lindblad is value
+
+    @pytest.mark.parametrize("raw", ["maybe", "2", ""])
+    @pytest.mark.parametrize("section, key", [("schedule", "rf_during_pulse"), ("sweep", "lindblad")])
+    def test_not_a_boolean_rejected(self, tmp_path, section, key, raw):
+        path = self.write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{section}.{key}: not a boolean: {raw!r}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
