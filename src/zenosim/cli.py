@@ -52,17 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.n_list is not None:
-        updates["n_list"] = parse_n_list(args.n_list, field_name="--n-list")
-    if getattr(args, "format", None) is not None:
-        updates["out_format"] = args.format
-    if getattr(args, "out", None) is not None:
-        updates["out_path"] = args.out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _run_lindblad_check(cfg: RunConfig) -> int:
     counts = _DEFAULT_CHECK_COUNTS if cfg.n_list is None else cfg.n_list
     setups = lindblad_setups(cfg, counts)  # a bad row fails here, before anything is printed
@@ -85,11 +74,13 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(f"{args.config}: OK")
             return 0
-        cfg = _apply_overrides(cfg, args)
+        if args.n_list is not None:
+            cfg = dataclasses.replace(cfg, n_list=parse_n_list(args.n_list, field_name="--n-list"))
         if args.command == "lindblad-check":
             return _run_lindblad_check(cfg)
         runner = run_ion_sweep if args.command == "ion" else run_neutron_sweep
-        emit(runner(cfg), format=cfg.out_format, destination=cfg.out_path)
+        destination = cfg.out_path if args.out is None else args.out
+        emit(runner(cfg), format=args.format or cfg.out_format, destination=destination)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

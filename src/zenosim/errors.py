@@ -1,6 +1,9 @@
 """Exception types shared across the package, and the measurement-count check."""
 
 import operator
+import sys
+
+_MAX_COUNT = int(sys.float_info.max)  # the closed forms convert a count to a float
 
 
 class ZenoSimError(Exception):
@@ -35,6 +38,8 @@ def check_count(n, field: str = "n") -> int:
         value = 0
     if isinstance(n, bool) or value < 1:
         raise ConfigError(f"must be an integer >= 1, got {n!r}", field=field)
+    if value > _MAX_COUNT:
+        raise ConfigError(f"must be at most {sys.float_info.max:.4g}", field=field)
     return value
 
 

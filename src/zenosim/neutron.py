@@ -61,7 +61,7 @@ class NeutronConfig:
 def p_up_ideal(n: int) -> float:
     """Survival probability [cos^2(pi/2n)]^n after n ideal measurements."""
     n = check_count(n)
-    return math.cos(math.pi / (2.0 * n)) ** (2 * n)
+    return math.cos(math.pi / (2.0 * n)) ** (2.0 * n)
 
 
 def phi_zero(cfg: NeutronConfig) -> float:
@@ -79,7 +79,7 @@ def p_up_limited(n: int, phi0: float) -> float:
     if not 0.0 < phi0 < math.pi / 2.0:
         raise ValueError("phi0 must lie in (0, pi/2)")
     phi = max(math.pi / (2.0 * n), phi0)
-    return math.cos(phi) ** (2 * n)
+    return math.cos(phi) ** (2.0 * n)
 
 
 def neutron_n_max(cfg: NeutronConfig) -> int:

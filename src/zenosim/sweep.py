@@ -63,8 +63,17 @@ class SweepResult:
         return tuple(self.metadata.get("columns", ()))
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _result(rows, row_type, config: dict, bound: int, integrator_step=None, **extra) -> SweepResult:
+    """``rows`` with the metadata layout both tables share; ``extra`` keys follow ``n_max``."""
+    metadata = {
+        "config": config,
+        "n_max": bound,
+        **extra,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "integrator_step": integrator_step,
+        "columns": list(row_type.__dataclass_fields__),
+    }
+    return SweepResult(tuple(rows), metadata)
 
 
 def lindblad_setups(cfg: RunConfig, counts) -> list[LindbladConfig]:
@@ -111,22 +120,17 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         )
         for n, setup in zip(n_list, setups)
     ]
-    metadata = {
-        "config": {
-            "omega": omega,
-            "tau_sp": tau_sp,
-            "n_list": list(n_list),
-            "lindblad": cfg.lindblad,
-            "pulse_duration_fraction": cfg.schedule.pulse_duration_fraction,
-            "pulse_area": cfg.schedule.pulse_area,
-            "rf_during_pulse": cfg.schedule.rf_during_pulse,
-        },
-        "n_max": bound,
-        "timestamp": _timestamp(),
-        "integrator_step": cfg.schedule.integrator_step if cfg.lindblad else None,
-        "columns": list(SweepRow.__dataclass_fields__),
+    config = {
+        "omega": omega,
+        "tau_sp": tau_sp,
+        "n_list": list(n_list),
+        "lindblad": cfg.lindblad,
+        "pulse_duration_fraction": cfg.schedule.pulse_duration_fraction,
+        "pulse_area": cfg.schedule.pulse_area,
+        "rf_during_pulse": cfg.schedule.rf_during_pulse,
     }
-    return SweepResult(tuple(rows), metadata)
+    step = cfg.schedule.integrator_step if cfg.lindblad else None
+    return _result(rows, SweepRow, config, bound, integrator_step=step)
 
 
 def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
@@ -144,20 +148,13 @@ def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
         )
         for n in n_list
     )
-    metadata = {
-        "config": {
-            "delta_e_m": ncfg.delta_e_m,
-            "delta_e_k": ncfg.delta_e_k,
-            "phi0": phi0,
-            "n_list": list(n_list),
-        },
-        "n_max": bound,
-        "p_up_at_n_max": p_up_limited(bound, phi0),
-        "timestamp": _timestamp(),
-        "integrator_step": None,
-        "columns": list(NeutronRow.__dataclass_fields__),
+    config = {
+        "delta_e_m": ncfg.delta_e_m,
+        "delta_e_k": ncfg.delta_e_k,
+        "phi0": phi0,
+        "n_list": list(n_list),
     }
-    return SweepResult(rows, metadata)
+    return _result(rows, NeutronRow, config, bound, p_up_at_n_max=p_up_limited(bound, phi0))
 
 
 def _format_value(value) -> str:

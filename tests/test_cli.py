@@ -1,6 +1,7 @@
 """Tests for the command-line runner."""
 
 import argparse
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -64,6 +65,20 @@ class TestIonCommand:
         lines = target.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("8,")
+
+    def test_output_flags_beat_output_section(self, tmp_path, capsys):
+        configured, other = tmp_path / "configured.json", tmp_path / "other.csv"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(ION_CFG + f"\n[output]\nformat = json\npath = {configured}\n")
+        assert main(["ion", "--config", str(cfg)]) == 0
+        assert configured.read_text().startswith("{")
+        assert capsys.readouterr().out == ""
+        configured.unlink()
+        assert main(["ion", "--config", str(cfg), "--format", "csv", "--out", "-"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == ION_HEADER
+        assert main(["ion", "--config", str(cfg), "--out", str(other)]) == 0
+        assert other.read_text().startswith("{")
+        assert not configured.exists()
 
     def test_json_format(self, ion_cfg, tmp_path, capsys):
         assert main(["ion", "--config", str(ion_cfg), "--format", "json"]) == 0
@@ -143,6 +158,13 @@ class TestNeutronCommand:
         )
         assert main(["neutron", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("numeric failure: bound ")
+
+    def test_bound_past_float_range(self, tmp_path, capsys):
+        # n_max = pi / (2 phi0) is about 1.57e308, so 2 n_max is past the float range
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[neutron]\ndelta_e_m = 4e-308\ndelta_e_k = 1.0\n\n[sweep]\nn_list = 1\n")
+        assert main(["neutron", "--config", str(cfg), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["p_up_at_n_max"] == 1.0
 
     def test_missing_section_exit_code(self, ion_cfg, capsys):
         assert main(["neutron", "--config", str(ion_cfg)]) == 1
@@ -243,6 +265,17 @@ class TestLindbladCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "2.52e+09 steps over t_pi, more than the limit 1e+08" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ion", "neutron", "lindblad-check"])
+def test_count_past_float_range_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(ION_CFG + NEUTRON_CFG.replace("[sweep]\nn_list = 1, 2, 15\n", ""))
+    assert main([command, "--config", str(cfg), "--n-list", "1" + "0" * 320]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.endswith(": must be at most 1.798e+308\n")
 
 
 class TestFixedCosts:

@@ -43,6 +43,13 @@ class TestPUpIdeal:
             with pytest.raises(ValueError):
                 p_up_ideal(bad)
 
+    def test_counts_past_float_range_refused(self):
+        # past the float range the exponent 2n is inf, and the survival its exact limit
+        assert p_up_ideal(10**308) == 1.0
+        assert p_up_limited(10**308, 0.1) == 0.0
+        with pytest.raises(ConfigError, match=r"^n: must be at most 1.798e\+308$"):
+            p_up_ideal(10**309)
+
     def test_numpy_count_bit_identical(self):
         assert p_up_ideal(np.int64(4)) == p_up_ideal(4)
         assert p_up_limited(np.int64(40), 0.1) == p_up_limited(40, 0.1)

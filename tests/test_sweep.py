@@ -75,6 +75,13 @@ class TestIonSweep:
         assert result.rows == ()
         assert result.metadata["n_max"] == 31
         assert result.columns() == tuple(ION_HEADER.split(","))
+        assert list(result.metadata) == ["config", "n_max", "timestamp", "integrator_step", "columns"]
+        neutron = run_neutron_sweep(neutron_config(n_list=()))
+        assert neutron.rows == ()
+        assert neutron.columns() == ("n", "p_up_ideal", "p_up_limited", "regime_flag")
+        assert list(neutron.metadata) == [
+            "config", "n_max", "p_up_at_n_max", "timestamp", "integrator_step", "columns"
+        ]
 
     def test_disjoint_sweeps_concatenate(self):
         low = run_ion_sweep(ion_config(n_list=(1, 2, 3)))
