@@ -4,8 +4,6 @@ Exit codes: 0 on success, 1 for configuration (or output I/O) problems,
 2 for numeric or integration failures.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import functools

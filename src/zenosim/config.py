@@ -6,8 +6,6 @@ rejected so a typo in a physics parameter cannot silently fall back to a
 default.
 """
 
-from __future__ import annotations
-
 import configparser
 import math
 from dataclasses import dataclass, field, fields
@@ -61,7 +59,7 @@ def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]
             raise ConfigError(f"not an integer: {part!r}", field=field_name) from exc
         if n < 1:
             raise ConfigError(f"counts must be >= 1, got {n}", field=field_name)
-        values.append(n)
+        values.append(check_count(n, field_name))
     return tuple(sorted(set(values)))
 
 
@@ -89,6 +87,12 @@ def _boolean(raw: str, field_name: str) -> bool:
         raise ConfigError(f"not a boolean: {raw!r}", field=field_name) from None
 
 
+def _out_path(raw: str, field_name: str) -> str:
+    if not raw.strip():
+        raise ConfigError("must not be empty", field=field_name)
+    return raw.strip()
+
+
 def _out_format(raw: str, field_name: str) -> str:
     value = raw.strip().lower()
     if value not in _FORMATS:
@@ -110,7 +114,7 @@ _TABLE = {
     },
     "neutron": {f.name: (f.name, _positive_float) for f in fields(NeutronConfig)},
     "sweep": {"n_list": ("n_list", parse_n_list), "lindblad": ("lindblad", _boolean)},
-    "output": {"format": ("out_format", _out_format), "path": ("out_path", lambda raw, _: raw.strip())},
+    "output": {"format": ("out_format", _out_format), "path": ("out_path", _out_path)},
 }
 _NESTED = {"schedule": ScheduleParams, "neutron": NeutronConfig}
 
@@ -128,11 +132,11 @@ def parse_config(path) -> RunConfig:
         interpolation=None, inline_comment_prefixes=(";", "#")
     )
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}", field=str(path)) from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file: {exc}", field=str(path)) from exc
 
     for section in parser.sections():

@@ -10,8 +10,6 @@ compatible with the measurement level's finite lifetime: beyond
 falling to zero.
 """
 
-from __future__ import annotations
-
 import math
 
 from .dynamics import IonConfig, apply_projection, evolve_bloch

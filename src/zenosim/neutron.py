@@ -6,8 +6,6 @@ the per-measurement rotation angle, so the limited form falls to zero for
 large n instead; the crossover count is ``neutron_n_max``.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -39,19 +37,18 @@ class NeutronConfig:
             "delta_e_m": ((2.0, self.mu, self.b_field), "mu and b_field"),
             "delta_e_k": ((self.mass, self.v0, self.delta_v), "mass, v0 and delta_v"),
         }
-        for name, (factors, _) in raw_inputs.items():
-            if None in factors:
-                continue
-            given, raw = getattr(self, name), math.prod(factors)
-            if given is None:
-                object.__setattr__(self, name, raw)
-            elif abs(given - raw) > 1e-12 * max(abs(given), abs(raw)):
-                raise ConfigError(
-                    f"value {given:.12g} disagrees with the raw-input value {raw:.12g}",
-                    field=f"neutron.{name}",
-                )
-        for name, (_, inputs) in raw_inputs.items():
+        for name, (factors, inputs) in raw_inputs.items():
             value = getattr(self, name)
+            if None not in factors:
+                raw = math.prod(factors)
+                if value is None:
+                    value = raw
+                    object.__setattr__(self, name, raw)
+                elif abs(value - raw) > 1e-12 * max(abs(value), abs(raw)):
+                    raise ConfigError(
+                        f"value {value:.12g} disagrees with the raw-input value {raw:.12g}",
+                        field=f"neutron.{name}",
+                    )
             if value is None or not (math.isfinite(value) and value > 0):
                 raise ConfigError(
                     f"must be finite and > 0 (give it or {inputs})", field=f"neutron.{name}"

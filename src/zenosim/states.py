@@ -12,8 +12,6 @@ Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -15,8 +15,6 @@ encoder, whose separators lay a flat object out as ``indent=2`` does at
 depth 2; only the metadata goes through the indenting (pure-Python) encoder.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from dataclasses import dataclass
@@ -120,17 +118,16 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         )
         for n, setup in zip(n_list, setups)
     ]
+    schedule = dict(vars(cfg.schedule))
+    step = schedule.pop("integrator_step")  # reported as metadata.integrator_step
     config = {
         "omega": omega,
         "tau_sp": tau_sp,
         "n_list": list(n_list),
         "lindblad": cfg.lindblad,
-        "pulse_duration_fraction": cfg.schedule.pulse_duration_fraction,
-        "pulse_area": cfg.schedule.pulse_area,
-        "rf_during_pulse": cfg.schedule.rf_during_pulse,
+        **schedule,
     }
-    step = cfg.schedule.integrator_step if cfg.lindblad else None
-    return _result(rows, SweepRow, config, bound, integrator_step=step)
+    return _result(rows, SweepRow, config, bound, integrator_step=step if cfg.lindblad else None)
 
 
 def run_neutron_sweep(cfg: RunConfig) -> SweepResult:

@@ -194,6 +194,28 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(bad)]) == 1
         assert "ion.bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "ion"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(ION_CFG.encode() + b"; caf\xe9\n")
+        assert main([command, "--config", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {bad}: malformed config file: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        (ION_CFG + "\n[output]\npath =\n", "output.path: must not be empty"),
+        (ION_CFG.replace("1, 2, 4", "1" + "0" * 320), "sweep.n_list: must be at most 1.798e+308"),
+    ], ids=["empty-output-path", "count-past-float-range"])
+    def test_value_refused_before_any_run(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
 
 class TestLindbladCheckCommand:
     def test_projective_regime_agrees(self, tmp_path, capsys):
@@ -274,8 +296,7 @@ def test_count_past_float_range_is_config_error(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--n-list", "1" + "0" * 320]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: ")
-    assert captured.err.endswith(": must be at most 1.798e+308\n")
+    assert captured.err == "config error: --n-list: must be at most 1.798e+308\n"
 
 
 class TestFixedCosts:

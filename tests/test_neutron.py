@@ -105,6 +105,12 @@ class TestPhiZero:
         with pytest.raises(ConfigError):
             NeutronConfig(**kwargs)
 
+    def test_energies_checked_in_field_order(self):
+        # delta_e_m is out of range and delta_e_k disagrees with its raw inputs
+        with pytest.raises(ConfigError) as err:
+            NeutronConfig(delta_e_m=-1.0, delta_e_k=2.0, mass=1.0, v0=1.0, delta_v=1.0)
+        assert err.value.field == "neutron.delta_e_m"
+
     def test_position_uncertainty_accepted_but_unused(self, tmp_path):
         # Neither enters a formula, so neither is a field or a config key.
         for key in ("delta_x", "length_l"):

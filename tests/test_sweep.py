@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +337,12 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        original = Path(__file__).parent / "data" / "ion_sweep.cfg"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        assert parse_config(path) == parse_config(original)
 
     def test_n_list_validation(self):
         assert parse_n_list("8,1,1,2") == (1, 2, 8)
