@@ -76,6 +76,8 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, n_list=parse_n_list(args.n_list, field_name="--n-list"))
         if args.command == "lindblad-check":
             return _run_lindblad_check(cfg)
+        if args.out is not None and not args.out.strip():  # as [output] path, before any row is run
+            raise ConfigError("must not be empty", field="--out")
         runner = run_ion_sweep if args.command == "ion" else run_neutron_sweep
         destination = cfg.out_path if args.out is None else args.out
         emit(runner(cfg), format=args.format or cfg.out_format, destination=destination)

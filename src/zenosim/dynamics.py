@@ -27,7 +27,11 @@ on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
 once per row for each segment kind and step, are stacked into one (9b, 9)
 matrix that takes the last state to the next b.  Blocks fill chunks of up to
 512 states that run across segments; each chunk is validated at once before it
-is handed on, and carries one record per block, not a time per state.
+is handed on, and carries one record per block, not a time per state.  The
+gate reads a chunk's entries once, gathered as twelve rows over its states:
+the upper triangle, diagonal last, then each one's transpose partner, so that
+Hermiticity (row k against row k + 6), trace and the LDL^H pivots of
+positivity are all elementwise.
 """
 
 import math
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, as_density, hermiticity_residue, validate_density
+from .states import BlochVector, as_density, validate_density
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
@@ -52,6 +56,8 @@ _BLOCK = 64
 _CHUNK = 8 * _BLOCK
 #: Rows per product, half a block: numpy's OpenBLAS runs one of over 4096 entries on every core.
 _PRODUCT_ROWS = 9 * _BLOCK // 2
+#: Row-major vec indices of a state's upper entries, diagonal last, then their transpose partners.
+_GATHER = np.array([1, 2, 5, 0, 4, 8, 3, 6, 7, 0, 4, 8])
 
 
 @dataclass(frozen=True)
@@ -272,18 +278,20 @@ def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:
     return powers
 
 
-def _positive_definite(cols: np.ndarray) -> np.ndarray:
+def _positive_definite(g: np.ndarray) -> np.ndarray:
     """Whether each state's Hermitian part plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
 
-    Row k of ``cols`` is entry k of each state's row-major vec(rho).  As reliable
-    as Cholesky, and without LAPACK, whose eigensolver pages in about 1 MB of library code.
+    ``g`` is a chunk gathered by ``_GATHER``: rows 0-2 hold each state's upper
+    entries (0,1), (0,2), (1,2), rows 3-5 its diagonal and rows 6-8 the lower
+    partners (1,0), (2,0), (2,1).  As reliable as Cholesky, and without LAPACK,
+    whose eigensolver pages in about 1 MB of library code.  Call it with
+    divide, invalid and overflow ignored: a non-finite or huge state fails.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a10, a20, a21 = (0.5 * (cols[low] + cols[up].conj()) for low, up in ((3, 1), (6, 2), (7, 5)))
-        d1 = cols[0].real + TRAJECTORY_MIN_EIG_TOL
-        d2 = cols[4].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a10) ** 2 / d1
-        d2_l32 = a21 - a20 * a10.conj() / d1  # d2 times L[2, 1]
-        d3 = cols[8].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a20) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
+    a10, a20, a21 = 0.5 * (g[6:9] + g[0:3].conj())
+    d1 = g[3].real + TRAJECTORY_MIN_EIG_TOL
+    d2 = g[4].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a10) ** 2 / d1
+    d2_l32 = a21 - a20 * a10.conj() / d1  # d2 times L[2, 1]
+    d3 = g[5].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a20) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
     return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
@@ -299,11 +307,11 @@ def _validate_block(blocks: list[tuple], rows: np.ndarray) -> tuple[list[tuple],
     At that state Hermiticity is reported first, then trace, then positivity.
     Comparisons are written so that NaN fails them.
     """
-    cols = rows.T.copy()  # each entry contiguous over the chunk: every check below is elementwise
-    herm = hermiticity_residue(cols.T.reshape(-1, 3, 3))
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite or huge: fails, no warning
-        trace = np.abs(cols[0] + cols[4] + cols[8] - 1.0)
-    positive = _positive_definite(cols)
+    g = rows.T[_GATHER]  # (12, b), each entry contiguous over the chunk: every check is elementwise
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite or huge: fails
+        herm = np.abs(g[:6] - g[6:].conj()).max(axis=0)  # hermiticity_residue, each pair once
+        trace = np.abs(g[3] + g[4] + g[5] - 1.0)
+        positive = _positive_definite(g)
     ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
     if ok.all():
         return blocks, rows.reshape(-1, 3, 3)

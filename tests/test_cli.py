@@ -105,6 +105,21 @@ class TestIonCommand:
         target = tmp_path / "no" / "dir" / "out.csv"
         assert main(["ion", "--config", str(ion_cfg), "--out", str(target)]) == 1
 
+    @pytest.mark.parametrize("command", ["ion", "neutron"])
+    @pytest.mark.parametrize("out", ["", "  "])
+    def test_empty_out_refused_before_any_row(self, command, out, tmp_path, capsys):
+        # as an empty [output] path is; a lindblad row must not be integrated first
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[neutron]\ndelta_e_m = 0.4\ndelta_e_k = 1.0\n\n"
+            "[sweep]\nn_list = 2, 4\nlindblad = true\n"
+        )
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main([command, "--config", str(cfg), "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --out: must not be empty\n"
+
     def test_underflowing_bound_exit_code(self, tmp_path, capsys):
         # omega * tau_sp underflows to 0, so pi / (omega * tau_sp) has no finite floor
         cfg = tmp_path / "tiny.cfg"

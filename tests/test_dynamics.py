@@ -31,13 +31,15 @@ from zenosim.dynamics import (
     TRAJECTORY_TRACE_TOL,
     _BLOCK,
     _CHUNK,
+    _GATHER,
     _positive_definite,
     _rk4_powers,
     _segments,
+    _times,
     _validate_block,
     final_state,
 )
-from zenosim.states import hermiticity_residue
+from zenosim.states import hermiticity_residue, validate_density
 
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
@@ -108,6 +110,61 @@ def listed_segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]
     if t_end - cursor > 1e-12 * t_end:
         segs.append((cursor, t_end, False))
     return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
+
+
+def reference_gate(blocks: list[tuple], rows: np.ndarray) -> tuple[str, float] | None:
+    """The integrator gate on a transposed copy of the chunk and a (b, 3, 3) stack.
+
+    How ``_validate_block`` computed its residues and LDL^H pivots before it
+    gathered each entry once, kept as the reference for its verdicts: None if
+    the chunk passes, else the (message, time) of its first failure.
+    """
+    cols = rows.T.copy()
+    herm = hermiticity_residue(cols.T.reshape(-1, 3, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trace = np.abs(cols[0] + cols[4] + cols[8] - 1.0)
+        a10, a20, a21 = (0.5 * (cols[low] + cols[up].conj()) for low, up in ((3, 1), (6, 2), (7, 5)))
+        d1 = cols[0].real + TRAJECTORY_MIN_EIG_TOL
+        d2 = cols[4].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a10) ** 2 / d1
+        d2_l32 = a21 - a20 * a10.conj() / d1
+        d3 = cols[8].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a20) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
+    positive = (d1 > 0) & (d2 > 0) & (d3 > 0)
+    ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not herm[i] <= TRAJECTORY_HERMITICITY_TOL:
+        lost = f"Hermiticity (residue {herm[i]:.3e})"
+    elif not trace[i] <= TRAJECTORY_TRACE_TOL:
+        lost = f"unit trace (residue {trace[i]:.3e})"
+    else:
+        lost = f"positivity (min eig {validate_density(rows[i].reshape(3, 3)).min_eigenvalue:.3e})"
+    return f"state lost {lost}", _times(blocks)[i]
+
+
+def gate_outcome(blocks: list[tuple], rows: np.ndarray) -> tuple[str, float] | None:
+    """``_validate_block``'s verdict in :func:`reference_gate`'s terms."""
+    try:
+        got_blocks, states = _validate_block(blocks, rows)
+    except IntegrationError as err:
+        return err.message, err.time
+    assert got_blocks is blocks
+    np.testing.assert_array_equal(states, rows.reshape(-1, 3, 3))
+    return None
+
+
+def density(rng, rank: int) -> np.ndarray:
+    """A seeded random 3x3 density matrix of the given rank."""
+    a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+    rho = a @ a.conj().T
+    return rho / rho.trace().real
+
+
+def rotated(rng, spectrum) -> np.ndarray:
+    """The Hermitian matrix with ``spectrum`` in a seeded random eigenbasis."""
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    basis = np.linalg.eigh(a + a.conj().T)[1]
+    return (basis * np.asarray(spectrum)) @ basis.conj().T
 
 
 class TestEvolveBloch:
@@ -427,7 +484,8 @@ class TestIntegrateLindblad:
         ], axis=1)
         herm = (basis * spectrum[:, None, :]) @ basis.conj().swapaxes(1, 2)
         want = np.linalg.eigvalsh(herm)[:, 0] >= -TRAJECTORY_MIN_EIG_TOL
-        got = _positive_definite(herm.reshape(-1, 9).T)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = _positive_definite(herm.reshape(-1, 9).T[_GATHER])
         assert want.any() and not want.all()
         np.testing.assert_array_equal(got, want)
 
@@ -568,6 +626,92 @@ class TestChunkedEngine:
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
         with mock.patch("zenosim.dynamics._times", side_effect=AssertionError("times made")):
             final_state(cfg, GROUND3)
+
+
+class TestGatheredGate:
+    """The gate on its gathered (12, b) entries against the formulas it replaced."""
+
+    @staticmethod
+    def probes(rng) -> dict[str, list[np.ndarray]]:
+        """States a few ulps either side of each check's tolerance, and non-finite or huge ones."""
+        eps = np.finfo(float).eps
+        probes = {"Hermiticity": [], "unit trace": [], "positivity": [], "far": []}
+        for k in range(-3, 4):
+            exact = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            exact[1, 0] = TRAJECTORY_HERMITICITY_TOL + k * math.ulp(TRAJECTORY_HERMITICITY_TOL)
+            rounded = density(rng, 3)
+            rounded[2, 0] += (1e-10 + k * 2e-17) * np.exp(2j * math.pi * rng.random())
+            probes["Hermiticity"] += [exact, rounded]
+            shifted = density(rng, 3)
+            shifted[1, 1] += 1e-9 + k * eps
+            probes["unit trace"] += [shifted, np.diag([1.0 - 1e-9 + k * eps, 0.0, 0.0]).astype(complex)]
+            spectrum = [-1e-8 + k * 8e-16, 0.3 + 1e-8 - k * 8e-16, 0.7]
+            probes["positivity"].append(rotated(rng, spectrum))
+        for value in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf),
+                      complex(np.inf, -np.inf), 1e200, 1.5e308 + 1.5e308j):
+            bad = density(rng, 2)
+            bad[divmod(int(rng.integers(9)), 3)] = value
+            probes["far"].append(bad)
+        probes["far"] += [rotated(rng, [-0.5, 0.5, 1.0]), np.full((3, 3), np.nan)]
+        return probes
+
+    def test_same_verdict_and_first_failure_as_reference(self):
+        def check(outcome):
+            return None if outcome is None else outcome[0].split(" (")[0]
+
+        rng = np.random.default_rng(15)
+        probes = self.probes(rng)
+        for name, states in probes.items():  # each alone, as a one-state chunk
+            blocks, seen = [(0.0, 0.0, 0, 1, None)], set()
+            for probe in states:
+                want = reference_gate(blocks, probe.reshape(1, 9))
+                assert gate_outcome(blocks, probe.reshape(1, 9)) == want, want
+                seen.add(check(want))
+            if name != "far":  # the probes straddle the tolerance
+                assert seen == {None, f"state lost {name}"}
+        pool = [probe for states in probes.values() for probe in states]
+        seen = set()
+        for size in [1] * 40 + [2, 9, 37, 63, 64, 65, 300, _CHUNK - 1, _CHUNK] * 12:
+            rows = np.array([density(rng, int(rng.integers(1, 4))) for _ in range(size)])
+            for at in rng.choice(size, size=min(size, int(rng.integers(0, 4))), replace=False):
+                rows[at] = pool[rng.integers(len(pool))]
+            rows = rows.reshape(-1, 9)
+            blocks = [(0.25, 0.1, 1, size, None)]
+            want = reference_gate(blocks, rows)
+            assert gate_outcome(blocks, rows) == want, want
+            seen.add(check(want))
+        assert seen == {None, "state lost Hermiticity", "state lost unit trace", "state lost positivity"}
+
+    def test_residue_is_hermiticity_residue(self):
+        # A tolerance patched to a state's hermiticity_residue passes its
+        # Hermiticity check and the next float below fails it: the gate's
+        # residue is that one bit for bit, NaN and inf included.
+        rng = np.random.default_rng(16)
+        stacks = []
+        for scale in np.logspace(-300, 307, 41):
+            a = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+            stacks += [scale * a, scale * (a + a.conj().swapaxes(1, 2)) / 2]
+        overflowing = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        overflowing[0, 1], overflowing[1, 0] = 1.7e308, -1.7e308  # finite entries, inf residue
+        stacks.append(overflowing[None])
+        for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1.7e308, -1.7e308j):
+            stack = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+            stack.reshape(-1)[rng.choice(27, size=3, replace=False)] = value
+            stacks.append(stack)
+        blocks = [(0.0, 0.0, 0, 1, None)]
+        kinds = set()
+        for rho in np.concatenate(stacks):
+            residue = float(hermiticity_residue(rho))
+            lost = (f"state lost Hermiticity (residue {residue:.3e})", 0.0)
+            kinds.add("nan" if math.isnan(residue) else "inf" if math.isinf(residue) else "finite")
+            if not math.isnan(residue):
+                with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", residue):
+                    outcome = gate_outcome(blocks, rho.reshape(1, 9))
+                assert outcome is None or not outcome[0].startswith("state lost Hermiticity")
+            below = math.nan if math.isnan(residue) else math.nextafter(residue, -math.inf)
+            with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", below):
+                assert gate_outcome(blocks, rho.reshape(1, 9)) == lost
+        assert kinds == {"nan", "inf", "finite"}
 
 
 class TestPopulations:
