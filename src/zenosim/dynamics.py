@@ -34,14 +34,13 @@ Hermiticity (row k against row k + 6), trace and the LDL^H pivots of
 positivity are all elementwise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, as_density, validate_density
+from .states import BlochVector, as_density, np, validate_density
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
@@ -57,7 +56,7 @@ _CHUNK = 8 * _BLOCK
 #: Rows per product, half a block: numpy's OpenBLAS runs one of over 4096 entries on every core.
 _PRODUCT_ROWS = 9 * _BLOCK // 2
 #: Row-major vec indices of a state's upper entries, diagonal last, then their transpose partners.
-_GATHER = np.array([1, 2, 5, 0, 4, 8, 3, 6, 7, 0, 4, 8])
+_GATHER = [1, 2, 5, 0, 4, 8, 3, 6, 7, 0, 4, 8]
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,14 @@ class PulseSchedule:
         if not (math.isfinite(pulse_area) and pulse_area > 0):
             raise ConfigError("must be finite and > 0", field="schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
-        return cls(duration, pulse_area / duration, rf_during_pulse)
+        rabi = pulse_area / duration if duration else math.inf
+        if rabi == math.inf:  # a pulse too short to carry even a pi area is the fraction's fault
+            short = not duration or math.pi / duration == math.inf
+            raise ConfigError(
+                f"gives an optical Rabi frequency {pulse_area:.3g}/{duration:.3g} that overflows",
+                field="schedule.pulse_duration_fraction" if short else "schedule.pulse_area",
+            )
+        return cls(duration, rabi, rf_during_pulse)
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
     return BlochVector(r0.r1, r0.r2 * c - r0.r3 * s, r0.r2 * s + r0.r3 * c)
 
 
-def apply_projection(rho) -> np.ndarray:
+def apply_projection(rho) -> "np.ndarray":
     """Projective population measurement: zero the coherences, keep the diagonal."""
     return np.diag(as_density(rho).diagonal())
 
@@ -249,19 +255,25 @@ def _segments(cfg: LindbladConfig):
         cursor = tk
 
 
-# Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator |0><2|
-# (the auxiliary level decays to the lower level only) and its number operator
-# |2><2| are real, so no conjugate or transpose of them appears.
-_EYE3 = np.eye(3)
-_JUMP, _NUMBER = np.outer(_EYE3[0], _EYE3[2]), np.diag(_EYE3[2])
-_DISSIPATOR = np.kron(_JUMP, _JUMP) - 0.5 * (np.kron(_NUMBER, _EYE3) + np.kron(_EYE3, _NUMBER))
+@functools.cache
+def _superoperators() -> tuple:
+    """The 3x3 identity and the dissipator's superoperator, built on the first row.
+
+    Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator |0><2|
+    (the auxiliary level decays to the lower level only) and its number operator
+    |2><2| are real, so no conjugate or transpose of them appears.
+    """
+    eye = np.eye(3)
+    jump, number = np.outer(eye[0], eye[2]), np.diag(eye[2])
+    return eye, np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
 
 
-def _liouvillian(ham: np.ndarray, gamma: float) -> np.ndarray:
-    return -1j * (np.kron(ham, _EYE3) - np.kron(_EYE3, ham.T)) + gamma * _DISSIPATOR
+def _liouvillian(ham: "np.ndarray", gamma: float) -> "np.ndarray":
+    eye, dissipator = _superoperators()
+    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + gamma * dissipator
 
 
-def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:
+def _rk4_powers(generator: "np.ndarray", h: float, count: int) -> "np.ndarray":
     """Stack P, P^2, ..., P^count of the RK4 step map P = sum_k (hL)^k / k!, k <= 4."""
     step = h * generator
     term = np.eye(9, dtype=complex)
@@ -278,7 +290,7 @@ def _rk4_powers(generator: np.ndarray, h: float, count: int) -> np.ndarray:
     return powers
 
 
-def _positive_definite(g: np.ndarray) -> np.ndarray:
+def _positive_definite(g: "np.ndarray") -> "np.ndarray":
     """Whether each state's Hermitian part plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
 
     ``g`` is a chunk gathered by ``_GATHER``: rows 0-2 hold each state's upper
@@ -301,7 +313,7 @@ def _times(blocks: list[tuple]) -> list[float]:
             for start, h, first, size, end in blocks for i in range(first, first + size)]
 
 
-def _validate_block(blocks: list[tuple], rows: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+def _validate_block(blocks: list[tuple], rows: "np.ndarray") -> "tuple[list[tuple], np.ndarray]":
     """A chunk's (b, 9) vec rows as (blocks, (b, 3, 3) states), or raise at the earliest bad state.
 
     At that state Hermiticity is reported first, then trace, then positivity.
@@ -370,7 +382,7 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
     yield _validate_block(blocks, chunk[:filled])
 
 
-def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarray]]:
+def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarray]]":
     """Integrate the three-level master equation over the drive pulse.
 
     Parameters
@@ -407,7 +419,7 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> list[tuple[float, np.ndarra
     return list(zip(times, stored))
 
 
-def final_state(cfg: LindbladConfig, rho0) -> np.ndarray:
+def final_state(cfg: LindbladConfig, rho0) -> "np.ndarray":
     """Last state of :func:`integrate_lindblad`'s trajectory, storing no other.
 
     Every intermediate state is still validated, with the same errors, and no time is made.
@@ -417,7 +429,7 @@ def final_state(cfg: LindbladConfig, rho0) -> np.ndarray:
     return last.copy()
 
 
-def populations(traj: list[tuple[float, np.ndarray]]) -> list[tuple[float, float, float, float]]:
+def populations(traj: "list[tuple[float, np.ndarray]]") -> list[tuple[float, float, float, float]]:
     """Extract (time, p1, p2, p3) from a stored trajectory."""
     if not traj:
         raise ValueError("empty trajectory")

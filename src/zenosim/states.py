@@ -10,14 +10,41 @@ Bloch vector (r1, r2, r3) with
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
+
+numpy is bound here as ``np`` without being imported.  If it is not loaded
+yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
+attribute access (the recipe of the ``importlib`` documentation), so the
+closed forms and the command-line tables never load numpy or start its BLAS
+threads; ``dynamics`` shares the binding.  Annotations naming ``np.ndarray``
+are quoted, since an annotation is evaluated when its function is defined.
+Before CPython gh-114763 was fixed (3.11 does not have the fix) LazyLoader was
+not safe against two threads making the first access at once: a threaded
+program should import numpy before it starts its threads.
 """
 
+import importlib.util
 import math
+import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidStateError, NonphysicalStateError
+
+
+def _lazy_numpy():
+    """numpy if it is loaded, else a module that loads it on first attribute access."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 #: Max allowed |rho - rho^dagger| entry for a state accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
@@ -58,7 +85,7 @@ class Diagnostics(NamedTuple):
     min_eigenvalue: float
 
 
-def as_density(entries) -> np.ndarray:
+def as_density(entries) -> "np.ndarray":
     """Coerce ``entries`` to a complex 2x2 or 3x3 array without validating it."""
     rho = np.asarray(entries, dtype=complex)
     if rho.shape not in ((2, 2), (3, 3)):
@@ -68,7 +95,7 @@ def as_density(entries) -> np.ndarray:
     return rho
 
 
-def hermiticity_residue(rho: np.ndarray) -> np.ndarray:
+def hermiticity_residue(rho: "np.ndarray") -> "np.ndarray":
     """max |rho - rho^dagger| entrywise, per matrix of a (..., d, d) stack.
 
     A non-finite or overflowing entry gives a NaN or inf residue, and no warning.
@@ -77,7 +104,7 @@ def hermiticity_residue(rho: np.ndarray) -> np.ndarray:
         return np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
+def min_eigenvalue(rho: "np.ndarray") -> float:
     """Smallest eigenvalue of a Hermitian matrix by ``np.linalg.eigvalsh``; NaN if not finite."""
     return float(np.linalg.eigvalsh(rho)[0]) if np.isfinite(rho).all() else math.nan
 
@@ -133,7 +160,7 @@ def bloch_from_density(rho) -> BlochVector:
     return BlochVector(r1.real, r2.real, r3.real)
 
 
-def density_from_bloch(r: BlochVector) -> np.ndarray:
+def density_from_bloch(r: BlochVector) -> "np.ndarray":
     """Map a Bloch vector to the corresponding 2x2 density matrix.
 
     Raises

@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
 from .config import RunConfig
 from .dynamics import IonConfig, LindbladConfig, PulseSchedule, final_state
 from .errors import ConfigError, IntegrationError
@@ -94,7 +92,7 @@ def lindblad_setups(cfg: RunConfig, counts) -> list[LindbladConfig]:
 def lindblad_p2(setup: LindbladConfig) -> float:
     """Upper-level population at the end of the drive pulse from the full model."""
     try:
-        return final_state(setup, np.diag([1.0, 0.0, 0.0]))[1, 1].real
+        return final_state(setup, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])[1, 1].real
     except IntegrationError as exc:
         raise IntegrationError(f"row n={setup.ion.n_pulses}: {exc.message}", time=exc.time) from exc
 

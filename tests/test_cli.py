@@ -314,6 +314,24 @@ def test_count_past_float_range_is_config_error(tmp_path, capsys, command):
     assert captured.err == "config error: --n-list: must be at most 1.798e+308\n"
 
 
+@pytest.mark.parametrize("schedule, n, field", [
+    ("pulse_duration_fraction = 5e-324", 1000, "schedule.pulse_duration_fraction"),
+    ("pulse_area = 1e308", 4, "schedule.pulse_area"),
+    ("pulse_duration_fraction = 1e-320", 4, "schedule.pulse_duration_fraction"),
+], ids=["pulse-underflows-to-zero", "area-overflows-rabi", "subnormal-pulse-overflows-rabi"])
+@pytest.mark.parametrize("command", ["ion", "lindblad-check"])
+def test_optical_rabi_past_float_range_is_config_error(tmp_path, capsys, schedule, n, field, command):
+    # the optical Rabi frequency pulse_area / pulse length is 0-divided or overflows
+    cfg = tmp_path / "pulse.cfg"
+    cfg.write_text(f"{ION_CFG}\nlindblad = true\n\n[schedule]\n{schedule}\n")
+    with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        assert main([command, "--config", str(cfg), "--n-list", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field}: gives an optical Rabi frequency ")
+    assert captured.err.endswith(" that overflows\n")
+
+
 class TestFixedCosts:
     """Work that a table pays once, not per row or per call."""
 

@@ -23,6 +23,8 @@ from zenosim import (  # noqa: E402
     n_max,
     neutron_n_max,
     p2_closed_form,
+    p_up_ideal,
+    p_up_limited,
     run_ion_sweep,
     simulate_projective_sequence,
 )
@@ -37,6 +39,32 @@ counts = st.integers(min_value=1, max_value=10**15)
 def test_oracle_matches_closed_form(omega, tau_sp, n):
     got = simulate_projective_sequence(IonConfig(omega, tau_sp, n))
     assert got == pytest.approx(p2_closed_form(n), abs=1e-9)
+
+
+def spin_survival(n: int, phi0: float) -> float:
+    """Brute-force oracle for the neutron closed forms.
+
+    Each of n field regions rotates the spin by 2 phi, phi = max(pi/2n, phi0),
+    and is followed by a projection onto "up"; the state is not renormalised,
+    so its squared norm at the end is the survival probability.
+    """
+    phi = max(math.pi / (2 * n), phi0)
+    c, s = math.cos(phi), math.sin(phi)  # the spin-1/2 rotation by 2 phi about the second axis
+    up, down = 1.0, 0.0
+    for _ in range(n):
+        up, down = c * up - s * down, s * up + c * down
+        down = 0.0
+    return up * up  # down is 0 after the last projection
+
+
+@pytest.mark.parametrize("phi0", [0.0, 1e-4, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0, 1.3, 1.5])
+def test_spin_oracle_matches_neutron_closed_forms(phi0):
+    for n in range(1, 201):
+        got = spin_survival(n, phi0)
+        if phi0 <= math.pi / (2 * n):
+            assert got == pytest.approx(p_up_ideal(n), rel=1e-12), n
+        if phi0 > 0:
+            assert got == pytest.approx(p_up_limited(n, phi0), rel=1e-12, abs=1e-300), n
 
 
 @settings(max_examples=500)
