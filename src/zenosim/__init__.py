@@ -89,6 +89,7 @@ __all__ = [
     "p2_decoherence_limited",
     "p_up_ideal",
     "p_up_limited",
+    "parse_config",
     "phi_zero",
     "populations",
     "run_ion_sweep",

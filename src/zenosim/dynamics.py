@@ -23,18 +23,19 @@ convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
 
 The equation is linear, so inside a segment one RK4 step is a fixed 9x9 map
 on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
-(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks: P..P^b, built
-once per row for each segment kind and step, are stacked into one (9b, 9)
-matrix that takes the last state to the next b.  Blocks fill chunks of up to
-512 states that run across segments; each chunk is validated at once before it
-is handed on, and carries one record per block, not a time per state.  The
-gate reads a chunk's entries once, gathered as twelve rows over its states:
-the upper triangle, diagonal last, then each one's transpose partner, so that
+(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks: a (b, 9, 9)
+stack of P..P^b, built once per row for each segment kind and step, takes the
+last state to the next b in one batched product.  Blocks fill chunks of up to
+512 states that run across segments; each chunk, states only, is validated at
+once before it is handed on, and one rule gives every state's time.  The gate
+reads a chunk's entries once, gathered as twelve rows over its states: the
+upper triangle, diagonal last, then each one's transpose partner, so that
 Hermiticity (row k against row k + 6), trace and the LDL^H pivots of
 positivity are all elementwise.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,16 +46,14 @@ from .states import BlochVector, as_density, np, validate_density
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
-#: which a config is refused up front.  A step inside a long segment costs about
-#: 0.45 us (numpy 2.4, 2.0 GHz Xeon), about 45 s at the limit; a one-step
-#: segment 5.5-7 us, so a row of them at the limit runs 9-12 minutes.
+#: which a config is refused up front.  A step inside a long segment costs
+#: 0.35-0.55 us (numpy 2.4, 2.0 GHz Xeon), 35-55 s at the limit; a one-step
+#: segment 5-9 us, so a row of them at the limit runs 8-15 minutes.
 MAX_STEPS = 10**8
 #: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
 _BLOCK = 64
 #: States validated, and yielded, at once: the blocks of one or more segments.
 _CHUNK = 8 * _BLOCK
-#: Rows per product, half a block: numpy's OpenBLAS runs one of over 4096 entries on every core.
-_PRODUCT_ROWS = 9 * _BLOCK // 2
 #: Row-major vec indices of a state's upper entries, diagonal last, then their transpose partners.
 _GATHER = [1, 2, 5, 0, 4, 8, 3, 6, 7, 0, 4, 8]
 
@@ -177,21 +176,19 @@ class LindbladConfig:
                     field="schedule.optical_pulse_duration",
                 )
             segments = 2 * self.ion.n_pulses  # at most a gap and a pulse per measurement
-        bound = self.max_step()
+        bound, key = self.max_step(), "schedule.integrator_step"  # the config file's key
         if self.integrator_step is None:
             object.__setattr__(self, "integrator_step", bound)
-        if not 0 < self.integrator_step <= bound * (1 + 1e-12):
-            raise ConfigError(
-                f"must be in (0, {bound:.6g}] to resolve the fastest timescale",
-                field="lindblad.integrator_step",
-            )
-        # Each segment takes at least one step, so this bounds the steps run.
-        steps = self.ion.t_pi / self.integrator_step + segments
+            key = None
+        elif not 0 < self.integrator_step <= bound * (1 + 1e-12):
+            raise ConfigError(f"must be in (0, {bound:.6g}] to resolve the fastest timescale", key)
+        # Each segment takes at least one step, so this bounds the steps run; inf if bound is 0.
+        steps = self.ion.t_pi / self.integrator_step + segments if bound else math.inf
         if not steps <= MAX_STEPS:
-            raise ConfigError(
-                f"gives {steps:.3g} steps over t_pi, more than the limit {MAX_STEPS:.0e}",
-                field="lindblad.integrator_step",
-            )
+            cause = "" if key else (f" with the default step {bound:.3g}, 1/{_STEP_MARGIN} of the"
+                                    " shortest of 1/omega, tau_sp and 1/(optical Rabi frequency)")
+            raise ConfigError(f"gives {steps:.3g} steps over t_pi, more than the limit"
+                              f" {MAX_STEPS:.0e}{cause}", key)
 
     @property
     def gamma(self) -> float:
@@ -255,6 +252,15 @@ def _segments(cfg: LindbladConfig):
         cursor = tk
 
 
+def _state_times(cfg: LindbladConfig):
+    """Yield each state's time: 0.0 for rho0, then start + i h in a segment, its end at its last."""
+    yield 0.0
+    for start, end, _, n_steps in _segments(cfg):
+        h = (end - start) / n_steps
+        yield from (start + i * h for i in range(1, n_steps))
+        yield end
+
+
 @functools.cache
 def _superoperators() -> tuple:
     """The 3x3 identity and the dissipator's superoperator, built on the first row.
@@ -307,17 +313,14 @@ def _positive_definite(g: "np.ndarray") -> "np.ndarray":
     return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
-def _times(blocks: list[tuple]) -> list[float]:
-    """Times of a chunk's states, from its block records; a segment's last is at its end exactly."""
-    return [end if end is not None and i == first + size - 1 else start + i * h
-            for start, h, first, size, end in blocks for i in range(first, first + size)]
+def _validate_block(cfg: LindbladConfig, first: int, rows: "np.ndarray") -> "np.ndarray":
+    """A chunk's (b, 9) vec rows as (b, 3, 3) states, or raise at the earliest bad state.
 
-
-def _validate_block(blocks: list[tuple], rows: "np.ndarray") -> "tuple[list[tuple], np.ndarray]":
-    """A chunk's (b, 9) vec rows as (blocks, (b, 3, 3) states), or raise at the earliest bad state.
-
-    At that state Hermiticity is reported first, then trace, then positivity.
-    Comparisons are written so that NaN fails them.
+    ``first`` is the trajectory index of the chunk's first state.  At the bad
+    state Hermiticity is reported first, then trace, then positivity.
+    Comparisons are written so that NaN fails them.  Only a failure makes
+    times, walking :func:`_state_times` up to the bad state: 15-20 s at the end
+    of a ``MAX_STEPS`` row, against a run of 35-55 s.
     """
     g = rows.T[_GATHER]  # (12, b), each entry contiguous over the chunk: every check is elementwise
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite or huge: fails
@@ -326,7 +329,7 @@ def _validate_block(blocks: list[tuple], rows: "np.ndarray") -> "tuple[list[tupl
         positive = _positive_definite(g)
     ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
     if ok.all():
-        return blocks, rows.reshape(-1, 3, 3)
+        return rows.reshape(-1, 3, 3)
     i = int(np.argmin(ok))
     if not herm[i] <= TRAJECTORY_HERMITICITY_TOL:
         lost = f"Hermiticity (residue {herm[i]:.3e})"
@@ -334,16 +337,17 @@ def _validate_block(blocks: list[tuple], rows: "np.ndarray") -> "tuple[list[tupl
         lost = f"unit trace (residue {trace[i]:.3e})"
     else:  # the smallest eigenvalue of its Hermitian part
         lost = f"positivity (min eig {validate_density(rows[i].reshape(3, 3)).min_eigenvalue:.3e})"
-    raise IntegrationError(f"state lost {lost}", time=_times(blocks)[i])
+    time = next(itertools.islice(_state_times(cfg), first + i, None))
+    raise IntegrationError(f"state lost {lost}", time=time)
 
 
 def _trajectory_chunks(cfg: LindbladConfig, rho0):
-    """Yield validated (blocks, states) chunks of the trajectory, rho0 at t=0 first.
+    """Yield validated (first, (b, 3, 3) states) chunks of the trajectory, rho0 at t=0 alone first.
 
-    Each segment advances a block at a time, P^1..P^b times the last state,
-    into a chunk of up to ``_CHUNK`` states that runs across segments and is
-    validated whole before it is yielded.  ``blocks`` holds no times but one
-    (start, h, first, size, end) per block: see :func:`_times`.
+    ``first`` indexes a chunk's first state (times: :func:`_state_times`).  Each
+    segment advances a block at a time, one batched product of P^1..P^b with
+    the last state, into a chunk of up to ``_CHUNK`` states that runs across
+    segments and is validated whole before it is yielded.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
@@ -359,27 +363,23 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
     generators = {False: _liouvillian(h_free, cfg.gamma), True: _liouvillian(h_pulse, cfg.gamma)}
 
     vec = rho.reshape(9)
-    yield _validate_block([(0.0, 0.0, 0, 1, None)], vec[None])
-    step_maps = {}  # one per exact (pulse_on, h, count), so each is built once a row
-    blocks, filled, chunk = [], 0, np.empty((_CHUNK, 9), dtype=complex)
+    yield 0, _validate_block(cfg, 0, vec[None])
+    step_maps = {}  # (count, 9, 9) per exact (pulse_on, h, count); its 9x9 products use one core
+    first, filled, chunk = 1, 0, np.empty((_CHUNK, 9), dtype=complex)
     for start, end, pulse_on, n_steps in _segments(cfg):
         h = (end - start) / n_steps
         key = (pulse_on, h, min(_BLOCK, n_steps))
-        if key not in step_maps:  # P^1..P^count stacked as one (9 * count, 9) matrix
-            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2]).reshape(-1, 9)
-        powers = step_maps[key]
+        if key not in step_maps:
+            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2])
         for done in range(0, n_steps, key[2]):
             size = min(key[2], n_steps - done)
             if filled + size > _CHUNK:
-                yield _validate_block(blocks, chunk[:filled])
-                blocks, filled, chunk = [], 0, np.empty((_CHUNK, 9), dtype=complex)
-            out = chunk[filled:filled + size].reshape(-1)
-            for lo in range(0, len(out), _PRODUCT_ROWS):  # by halves: the bits of one product
-                np.matmul(powers[lo:len(out)][:_PRODUCT_ROWS], vec, out=out[lo:lo + _PRODUCT_ROWS])
+                yield first, _validate_block(cfg, first, chunk[:filled])
+                first, filled, chunk = first + filled, 0, np.empty((_CHUNK, 9), dtype=complex)
+            np.matmul(step_maps[key][:size], vec, out=chunk[filled:filled + size])
             filled += size
             vec = chunk[filled - 1]
-            blocks.append((start, h, done + 1, size, end if done + size == n_steps else None))
-    yield _validate_block(blocks, chunk[:filled])
+    yield first, _validate_block(cfg, first, chunk[:filled])
 
 
 def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarray]]":
@@ -398,7 +398,7 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarr
         The stored trajectory, one state per integrator step, ending exactly
         at ``cfg.ion.t_pi``.  Every stored state is validated for trace,
         Hermiticity, and positivity; the returned arrays are read-only.  It keeps
-        about 370 B per state (37 GB at ``MAX_STEPS``): for long rows use
+        about 360 B per state (36 GB at ``MAX_STEPS``): for long rows use
         :func:`final_state` or ``sweep.lindblad_p2``.
 
     Raises
@@ -409,12 +409,10 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarr
         If any stored state (including ``rho0`` at t=0) violates a state
         invariant, or is not finite; the error carries the offending time.
     """
-    n_states = 1 + sum(seg[3] for seg in _segments(cfg))
-    stored = np.empty((n_states, 3, 3), dtype=complex)
-    times: list[float] = []
-    for blocks, states in _trajectory_chunks(cfg, rho0):
-        stored[len(times):len(times) + len(states)] = states
-        times += _times(blocks)
+    times = list(_state_times(cfg))  # one per stored state, so also their count
+    stored = np.empty((len(times), 3, 3), dtype=complex)
+    for first, states in _trajectory_chunks(cfg, rho0):
+        stored[first:first + len(states)] = states
     stored.flags.writeable = False
     return list(zip(times, stored))
 

@@ -257,7 +257,7 @@ class TestLindbladCheckCommand:
         cfg.write_text("[ion]\nomega = 1e-200\ntau_sp = 1e-200\n")
         assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: lindblad.integrator_step")
+        assert err.startswith("config error: gives inf steps over t_pi")
         assert len(err.splitlines()) == 1
 
     def test_empty_n_list_replaces_the_defaults(self, tmp_path, capsys):
@@ -330,6 +330,40 @@ def test_optical_rabi_past_float_range_is_config_error(tmp_path, capsys, schedul
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {field}: gives an optical Rabi frequency ")
     assert captured.err.endswith(" that overflows\n")
+
+
+DEFAULT_STEP = ", 1/20 of the shortest of 1/omega, tau_sp and 1/(optical Rabi frequency)"
+STEP_ION = "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("lindblad-check", STEP_ION + "[schedule]\npulse_area = 1e300\n",
+     "gives 3.2e+303 steps over t_pi, more than the limit 1e+08 with the default step 9.82e-304"
+     + DEFAULT_STEP),
+    ("lindblad-check", "[ion]\nomega = 1.0\ntau_sp = 1e-12\n",
+     "gives 6.28e+13 steps over t_pi, more than the limit 1e+08 with the default step 5e-14"
+     + DEFAULT_STEP),
+    ("ion", "[ion]\nomega = 1e-300\ntau_sp = 1\n\n[sweep]\nlindblad = true\n",
+     "gives 6.28e+301 steps over t_pi, more than the limit 1e+08 with the default step 0.05"
+     + DEFAULT_STEP),
+    ("lindblad-check", "[ion]\nomega = 1.0\ntau_sp = 1e-320\n",
+     "gives inf steps over t_pi, more than the limit 1e+08 with the default step 0" + DEFAULT_STEP),
+    ("lindblad-check", STEP_ION + "[schedule]\nintegrator_step = 1\n",
+     "schedule.integrator_step: must be in (0, 0.0003125] to resolve the fastest timescale"),
+    ("lindblad-check", STEP_ION + "[schedule]\nintegrator_step = 1e-12\n",
+     "schedule.integrator_step: gives 3.14e+12 steps over t_pi, more than the limit 1e+08"),
+], ids=["huge-pulse-area", "short-lifetime", "slow-drive", "default-step-underflows", "step-too-large",
+        "step-too-small"])
+def test_step_refusal_names_a_config_key(tmp_path, capsys, command, text, message):
+    # A refused step names the file's [schedule] integrator_step when one was
+    # set, and otherwise says where the default step comes from.
+    cfg = tmp_path / "step.cfg"
+    cfg.write_text(text)
+    with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        assert main([command, "--config", str(cfg), "--n-list", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 class TestFixedCosts:

@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import zenosim
 from zenosim import (
     BlochVector,
     ConfigError,
@@ -35,14 +40,25 @@ from zenosim.dynamics import (
     _positive_definite,
     _rk4_powers,
     _segments,
-    _times,
     _validate_block,
     final_state,
 )
 from zenosim.states import hermiticity_residue, validate_density
 
+SRC = str(Path(zenosim.__file__).resolve().parents[1])
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+#: The white-box gate tests' trajectory: one segment of 1000 steps of 0.01, state k at k * 0.01.
+GATE_CFG = LindbladConfig(IonConfig(math.pi / 10, 1e3, 1), integrator_step=0.01)
+
+
+def reference_times(cfg: LindbladConfig) -> list[float]:
+    """Each state's time: 0.0, then start + i * h inside a segment and exactly its end at its last."""
+    times = [0.0]
+    for start, end, _, n_steps in _segments(cfg):
+        h = (end - start) / n_steps
+        times += [start + i * h if i < n_steps else end for i in range(1, n_steps + 1)]
+    return times
 
 
 def reference_rk4(cfg: LindbladConfig, rho0) -> tuple[list[float], np.ndarray]:
@@ -75,7 +91,7 @@ def reference_rk4(cfg: LindbladConfig, rho0) -> tuple[list[float], np.ndarray]:
         for pulse_on, ham in ((False, h_free), (True, h_pulse))
     }
     x = np.asarray(rho0, dtype=complex).reshape(9)
-    times, states = [0.0], [x]
+    states = [x]
     for start, end, pulse_on, n_steps in _segments(cfg):
         assert n_steps == max(1, math.ceil((end - start) / cfg.integrator_step))
         gen = generators[pulse_on]
@@ -86,9 +102,8 @@ def reference_rk4(cfg: LindbladConfig, rho0) -> tuple[list[float], np.ndarray]:
             k3 = gen @ (x + (0.5 * h) * k2)
             k4 = gen @ (x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append(start + i * h if i < n_steps else end)
             states.append(x)
-    return times, np.array(states).reshape(-1, 3, 3)
+    return reference_times(cfg), np.array(states).reshape(-1, 3, 3)
 
 
 def listed_segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]:
@@ -112,12 +127,13 @@ def listed_segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]
     return [(a, b, on, max(1, math.ceil((b - a) / cfg.integrator_step))) for a, b, on in segs]
 
 
-def reference_gate(blocks: list[tuple], rows: np.ndarray) -> tuple[str, float] | None:
+def reference_gate(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[str, float] | None:
     """The integrator gate on a transposed copy of the chunk and a (b, 3, 3) stack.
 
     How ``_validate_block`` computed its residues and LDL^H pivots before it
     gathered each entry once, kept as the reference for its verdicts: None if
-    the chunk passes, else the (message, time) of its first failure.
+    the chunk, whose first state is state ``first`` of ``cfg``'s trajectory,
+    passes, else the (message, time) of its first failure.
     """
     cols = rows.T.copy()
     herm = hermiticity_residue(cols.T.reshape(-1, 3, 3))
@@ -139,16 +155,15 @@ def reference_gate(blocks: list[tuple], rows: np.ndarray) -> tuple[str, float] |
         lost = f"unit trace (residue {trace[i]:.3e})"
     else:
         lost = f"positivity (min eig {validate_density(rows[i].reshape(3, 3)).min_eigenvalue:.3e})"
-    return f"state lost {lost}", _times(blocks)[i]
+    return f"state lost {lost}", reference_times(cfg)[first + i]
 
 
-def gate_outcome(blocks: list[tuple], rows: np.ndarray) -> tuple[str, float] | None:
+def gate_outcome(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[str, float] | None:
     """``_validate_block``'s verdict in :func:`reference_gate`'s terms."""
     try:
-        got_blocks, states = _validate_block(blocks, rows)
+        states = _validate_block(cfg, first, rows)
     except IntegrationError as err:
         return err.message, err.time
-    assert got_blocks is blocks
     np.testing.assert_array_equal(states, rows.reshape(-1, 3, 3))
     return None
 
@@ -442,13 +457,13 @@ class TestIntegrateLindblad:
         everything[0, 1] = 1e-3  # all three checks
         trace_and_positivity = np.diag([1.5, -0.4, 0.0]).astype(complex)
 
-        def gate(stack):  # one block at times 0.0, 0.1, 0.2, ...
-            _validate_block([(0.0, 0.1, 0, len(stack), None)], np.array(stack).reshape(-1, 9))
+        def gate(stack):  # the chunk from rho0: times 0.0, 0.01, 0.02, ...
+            _validate_block(GATE_CFG, 0, np.array(stack).reshape(-1, 9))
 
         cases = [
-            ([good, negative, everything], "positivity (min eig -5.000e-01)", 0.1),
-            ([good, everything, negative], "Hermiticity (residue 1.000e-03)", 0.1),
-            ([good, good, trace_and_positivity], "unit trace (residue 1.000e-01)", 0.2),
+            ([good, negative, everything], "positivity (min eig -5.000e-01)", 0.01),
+            ([good, everything, negative], "Hermiticity (residue 1.000e-03)", 0.01),
+            ([good, good, trace_and_positivity], "unit trace (residue 1.000e-01)", 0.02),
         ]
         for stack, lost, time in cases:
             with pytest.raises(IntegrationError) as err:
@@ -542,8 +557,45 @@ class TestEquispacedSchedule:
                 LindbladConfig(ion, sched)
 
 
+LINDBLAD_CHECK_PASSES = """
+import math
+import time
+
+from zenosim import IonConfig, LindbladConfig, PulseSchedule, lindblad_p2
+
+
+def one_pass():  # the rows of `zenosim lindblad-check` at n = 2, 4, 8, tau_sp = (pi/n)/20
+    for n in (2, 4, 8):
+        ion = IonConfig(1.0, math.pi / n / 20, n)
+        lindblad_p2(LindbladConfig(ion, PulseSchedule.equispaced(ion)))
+
+
+one_pass()  # numpy's import is not timed, nor the spin of the threads it starts:
+time.sleep(0.5)  # after a burst of work OpenBLAS threads spin for a while before they sleep
+wall, cpu = time.perf_counter(), time.process_time()
+for _ in range(5):
+    one_pass()
+print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+
+
 class TestChunkedEngine:
     """Stepping in blocks per segment, validation in chunks across segments."""
+
+    def test_block_products_run_on_one_core(self):
+        # A fresh interpreter with no *_NUM_THREADS variable runs numpy at its
+        # default thread count, where OpenBLAS spreads a product of over 4096
+        # entries across every core and its threads spin between calls: one
+        # (9 * 64, 9) product per block would about double a pass's CPU time.
+        # A batched (b, 9, 9) product stays under that size.  On a single-core
+        # machine CPU time cannot exceed wall time and this passes trivially.
+        env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", LINDBLAD_CHECK_PASSES],
+                                capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        cpu, wall = map(float, result.stdout.split())
+        assert cpu <= 1.5 * wall, (cpu, wall)
 
     def test_segments_are_lazy(self):
         ion = IonConfig(1.0, 0.1, 10**7)
@@ -588,7 +640,7 @@ class TestChunkedEngine:
                     run(cfg, GROUND3)
                 assert (err.value.message, err.value.time) == (lost, traj[first][0])
 
-    def test_failure_time_made_from_block_records(self):
+    def test_failure_time_at_segment_end_and_inside_block(self):
         # A tolerance patched to the largest residue before a chosen state
         # fails that state: the last of a multi-block segment, whose time is
         # the segment's end and not start + n_steps * h, and one inside a
@@ -624,7 +676,7 @@ class TestChunkedEngine:
     def test_final_state_makes_no_times(self):
         ion = IonConfig(1.0, 0.1, 4)
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
-        with mock.patch("zenosim.dynamics._times", side_effect=AssertionError("times made")):
+        with mock.patch("zenosim.dynamics._state_times", side_effect=AssertionError("times made")):
             final_state(cfg, GROUND3)
 
 
@@ -661,11 +713,11 @@ class TestGatheredGate:
 
         rng = np.random.default_rng(15)
         probes = self.probes(rng)
-        for name, states in probes.items():  # each alone, as a one-state chunk
-            blocks, seen = [(0.0, 0.0, 0, 1, None)], set()
+        for name, states in probes.items():  # each alone, as a one-state chunk: rho0's
+            seen = set()
             for probe in states:
-                want = reference_gate(blocks, probe.reshape(1, 9))
-                assert gate_outcome(blocks, probe.reshape(1, 9)) == want, want
+                want = reference_gate(GATE_CFG, 0, probe.reshape(1, 9))
+                assert gate_outcome(GATE_CFG, 0, probe.reshape(1, 9)) == want, want
                 seen.add(check(want))
             if name != "far":  # the probes straddle the tolerance
                 assert seen == {None, f"state lost {name}"}
@@ -676,9 +728,8 @@ class TestGatheredGate:
             for at in rng.choice(size, size=min(size, int(rng.integers(0, 4))), replace=False):
                 rows[at] = pool[rng.integers(len(pool))]
             rows = rows.reshape(-1, 9)
-            blocks = [(0.25, 0.1, 1, size, None)]
-            want = reference_gate(blocks, rows)
-            assert gate_outcome(blocks, rows) == want, want
+            want = reference_gate(GATE_CFG, 1, rows)
+            assert gate_outcome(GATE_CFG, 1, rows) == want, want
             seen.add(check(want))
         assert seen == {None, "state lost Hermiticity", "state lost unit trace", "state lost positivity"}
 
@@ -698,7 +749,6 @@ class TestGatheredGate:
             stack = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
             stack.reshape(-1)[rng.choice(27, size=3, replace=False)] = value
             stacks.append(stack)
-        blocks = [(0.0, 0.0, 0, 1, None)]
         kinds = set()
         for rho in np.concatenate(stacks):
             residue = float(hermiticity_residue(rho))
@@ -706,11 +756,11 @@ class TestGatheredGate:
             kinds.add("nan" if math.isnan(residue) else "inf" if math.isinf(residue) else "finite")
             if not math.isnan(residue):
                 with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", residue):
-                    outcome = gate_outcome(blocks, rho.reshape(1, 9))
+                    outcome = gate_outcome(GATE_CFG, 0, rho.reshape(1, 9))
                 assert outcome is None or not outcome[0].startswith("state lost Hermiticity")
             below = math.nan if math.isnan(residue) else math.nextafter(residue, -math.inf)
             with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", below):
-                assert gate_outcome(blocks, rho.reshape(1, 9)) == lost
+                assert gate_outcome(GATE_CFG, 0, rho.reshape(1, 9)) == lost
         assert kinds == {"nan", "inf", "finite"}
 
 
