@@ -1,6 +1,6 @@
 """Command-line runner: sweeps, cross-model check, config linting.
 
-Exit codes: 0 on success, 1 for configuration (or output I/O) problems,
+Exit codes: 0 on success, 1 for usage, configuration or output I/O problems,
 2 for numeric or integration failures.
 """
 
@@ -9,10 +9,10 @@ import dataclasses
 import functools
 import sys
 
-from .config import RunConfig, parse_config, parse_n_list
+from .config import RunConfig, _out_format, _out_path, parse_config, parse_n_list
 from .errors import BoundViolationError, ConfigError, IntegrationError
-from .ion import LINDBLAD_AGREEMENT_TOL, p2_closed_form
-from .sweep import emit, lindblad_p2, lindblad_setups, run_ion_sweep, run_neutron_sweep
+from .ion import LINDBLAD_AGREEMENT_TOL
+from .sweep import emit, run_ion_sweep, run_neutron_sweep
 
 _DEFAULT_CHECK_COUNTS = (2, 4, 8)
 
@@ -33,9 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table = argparse.ArgumentParser(add_help=False, parents=[common])
-    table.add_argument(
-        "--format", choices=("csv", "json"), default=None, help="override [output] format"
-    )
+    table.add_argument("--format", default=None, help="override [output] format (csv or json)")
     table.add_argument("--out", default=None, help="override [output] path ('-' = stdout)")
 
     sub.add_parser("ion", parents=[table], help="sweep the ion models over n")
@@ -52,21 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_lindblad_check(cfg: RunConfig) -> int:
     counts = _DEFAULT_CHECK_COUNTS if cfg.n_list is None else cfg.n_list
-    setups = lindblad_setups(cfg, counts)  # a bad row fails here, before anything is printed
+    rows = run_ion_sweep(dataclasses.replace(cfg, n_list=counts, lindblad=True)).rows
     worst = 0.0
     print("n,p2_projection,p2_lindblad,abs_deviation")
-    for n, setup in zip(counts, setups):
-        closed = p2_closed_form(n)
-        full = lindblad_p2(setup)
-        dev = abs(full - closed)
+    for row in rows:
+        dev = abs(row.p2_lindblad - row.p2_projection)
         worst = max(worst, dev)
-        print(f"{n},{closed:.12g},{full:.12g},{dev:.3e}")
+        print(f"{row.n},{row.p2_projection:.12g},{row.p2_lindblad:.12g},{dev:.3e}")
     print(f"max deviation: {worst:.3e} (tolerance {LINDBLAD_AGREEMENT_TOL})")
     return 0 if worst <= LINDBLAD_AGREEMENT_TOL else 2
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error; argparse exits 2, the code of a numeric failure
+        return 1 if exc.code else 0  # 0 after --help
     try:
         cfg = parse_config(args.config)
         if args.command == "validate":
@@ -76,11 +75,11 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, n_list=parse_n_list(args.n_list, field_name="--n-list"))
         if args.command == "lindblad-check":
             return _run_lindblad_check(cfg)
-        if args.out is not None and not args.out.strip():  # as [output] path, before any row is run
-            raise ConfigError("must not be empty", field="--out")
+        # the output flags are read as the [output] keys are, before any row is run
+        fmt = cfg.out_format if args.format is None else _out_format(args.format, "--format")
+        out = cfg.out_path if args.out is None else _out_path(args.out, "--out")
         runner = run_ion_sweep if args.command == "ion" else run_neutron_sweep
-        destination = cfg.out_path if args.out is None else args.out
-        emit(runner(cfg), format=args.format or cfg.out_format, destination=destination)
+        emit(runner(cfg), format=fmt, destination=out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -144,10 +144,11 @@ class PulseSchedule:
             raise ConfigError("must be finite and > 0", field="schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         rabi = pulse_area / duration if duration else math.inf
-        if rabi == math.inf:  # a pulse too short to carry even a pi area is the fraction's fault
-            short = not duration or math.pi / duration == math.inf
+        if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
+            short = rabi == math.inf and (not duration or math.pi / duration == math.inf)
             raise ConfigError(
-                f"gives an optical Rabi frequency {pulse_area:.3g}/{duration:.3g} that overflows",
+                f"gives an optical Rabi frequency {pulse_area:.3g}/{duration:.3g} that "
+                + ("overflows" if rabi else "underflows"),
                 field="schedule.pulse_duration_fraction" if short else "schedule.pulse_area",
             )
         return cls(duration, rabi, rf_during_pulse)

@@ -72,23 +72,6 @@ def _result(rows, row_type, config: dict, bound: int, integrator_step=None, **ex
     return SweepResult(tuple(rows), metadata)
 
 
-def lindblad_setups(cfg: RunConfig, counts) -> list[LindbladConfig]:
-    """The full model's setup for each count: the ion, schedule and step of ``cfg``.
-
-    Every setup is built, and so checked, before any row is integrated.
-    """
-    omega, tau_sp = cfg.require_ion()
-    params = cfg.schedule
-    setups = []
-    for n in counts:
-        ion = IonConfig(omega, tau_sp, n)
-        sched = PulseSchedule.equispaced(
-            ion, params.pulse_duration_fraction, params.pulse_area, params.rf_during_pulse
-        )
-        setups.append(LindbladConfig(ion, sched, integrator_step=params.integrator_step))
-    return setups
-
-
 def lindblad_p2(setup: LindbladConfig) -> float:
     """Upper-level population at the end of the drive pulse from the full model."""
     try:
@@ -101,10 +84,22 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     """Tabulate the ion closed forms (and optionally the full model) over n."""
     omega, tau_sp = cfg.require_ion()
     n_list = cfg.require_n_list()
+    params = cfg.schedule
+    setups = [None] * len(n_list)
+    if cfg.lindblad:  # every row is built, and so checked, before the bound or any integration
+        setups = [
+            LindbladConfig(
+                ion,
+                PulseSchedule.equispaced(
+                    ion, params.pulse_duration_fraction, params.pulse_area, params.rf_during_pulse
+                ),
+                integrator_step=params.integrator_step,
+            )
+            for ion in (IonConfig(omega, tau_sp, n) for n in n_list)
+        ]
     # n_max and the clamp read only omega * tau_sp, so one config serves every row.
     base = IonConfig(omega, tau_sp, 1)
     bound = n_max(base)
-    setups = lindblad_setups(cfg, n_list) if cfg.lindblad else [None] * len(n_list)
     rows = [
         SweepRow(
             n=n,
@@ -116,7 +111,7 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         )
         for n, setup in zip(n_list, setups)
     ]
-    schedule = dict(vars(cfg.schedule))
+    schedule = dict(vars(params))
     step = schedule.pop("integrator_step")  # reported as metadata.integrator_step
     config = {
         "omega": omega,

@@ -8,9 +8,9 @@ from unittest import mock
 
 import pytest
 
-from zenosim import IntegrationError, IonConfig, cli, lindblad_p2, parse_config
+from zenosim import IntegrationError, IonConfig, LindbladConfig, PulseSchedule, cli, lindblad_p2
+from zenosim import sweep
 from zenosim.cli import main
-from zenosim.sweep import lindblad_setups
 
 ION_HEADER = "n,p2_projection,p2_asymptotic,p2_limited,p2_lindblad,regime_flag"
 
@@ -120,6 +120,23 @@ class TestIonCommand:
         assert captured.out == ""
         assert captured.err == "config error: --out: must not be empty\n"
 
+    def test_format_flag_read_as_output_key(self, tmp_path, capsys):
+        # any case and stripped, as [output] format and path are; a bad value before any row runs
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[sweep]\nn_list = 2\nlindblad = true\n")
+        lower, upper = tmp_path / "lower.json", tmp_path / "upper.json"
+        with mock.patch("zenosim.sweep.datetime") as clock:
+            clock.now.return_value.isoformat.return_value = "2000-01-01T00:00:00+00:00"
+            assert main(["ion", "--config", str(cfg), "--format", "json", "--out", str(lower)]) == 0
+            args = ["--format", " JSON ", "--out", f" {upper} "]
+            assert main(["ion", "--config", str(cfg), *args]) == 0
+        assert upper.read_bytes() == lower.read_bytes()
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main(["ion", "--config", str(cfg), "--format", "xml"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --format: must be one of ('csv', 'json'), got 'xml'\n"
+
     def test_underflowing_bound_exit_code(self, tmp_path, capsys):
         # omega * tau_sp underflows to 0, so pi / (omega * tau_sp) has no finite floor
         cfg = tmp_path / "tiny.cfg"
@@ -143,7 +160,8 @@ class TestIonCommand:
         cfg = tmp_path / "full.cfg"
         cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[sweep]\nn_list = 2\nlindblad = true\n")
         failure = IntegrationError("state lost unit trace (residue 1.000e-01)", time=0.25)
-        setup, = lindblad_setups(parse_config(cfg), [2])
+        ion = IonConfig(1.0, 0.1, 2)
+        setup = LindbladConfig(ion, PulseSchedule.equispaced(ion))
         with mock.patch("zenosim.sweep.final_state", side_effect=failure):
             with pytest.raises(IntegrationError) as err:
                 lindblad_p2(setup)
@@ -270,6 +288,34 @@ class TestLindbladCheckCommand:
             "max deviation: 0.000e+00 (tolerance 0.05)\n"
         )
 
+    def test_integration_failure_prints_no_row(self, tmp_path, capsys):
+        # the table is printed once every row is integrated, so the n = 2 row is not shown
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n")
+        real = sweep.final_state
+
+        def fail_at_four(setup, rho0):
+            if setup.ion.n_pulses == 4:
+                raise IntegrationError("state lost unit trace (residue 1.000e-01)", time=0.5)
+            return real(setup, rho0)
+
+        with mock.patch("zenosim.sweep.final_state", side_effect=fail_at_four):
+            assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2,4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: row n=4: state lost unit trace (residue 1.000e-01) (at t=0.5)\n"
+        )
+
+    def test_beyond_bound_prints_no_table(self, tmp_path, capsys):
+        # omega * tau_sp > pi leaves no admissible count, as `zenosim ion` reports
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 4.0\n")
+        assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: omega*tau_sp = 4 exceeds pi")
+
     def test_bad_row_prints_nothing(self, tmp_path, capsys):
         # every row's setup is checked before the header is printed
         cfg = tmp_path / "tiny.cfg"
@@ -314,14 +360,18 @@ def test_count_past_float_range_is_config_error(tmp_path, capsys, command):
     assert captured.err == "config error: --n-list: must be at most 1.798e+308\n"
 
 
-@pytest.mark.parametrize("schedule, n, field", [
-    ("pulse_duration_fraction = 5e-324", 1000, "schedule.pulse_duration_fraction"),
-    ("pulse_area = 1e308", 4, "schedule.pulse_area"),
-    ("pulse_duration_fraction = 1e-320", 4, "schedule.pulse_duration_fraction"),
-], ids=["pulse-underflows-to-zero", "area-overflows-rabi", "subnormal-pulse-overflows-rabi"])
+@pytest.mark.parametrize("schedule, n, field, fault", [
+    ("pulse_duration_fraction = 5e-324", 1000, "schedule.pulse_duration_fraction", "overflows"),
+    ("pulse_area = 1e308", 4, "schedule.pulse_area", "overflows"),
+    ("pulse_duration_fraction = 1e-320", 4, "schedule.pulse_duration_fraction", "overflows"),
+    ("pulse_duration_fraction = 0.9\npulse_area = 5e-324", 1, "schedule.pulse_area", "underflows"),
+], ids=["pulse-underflows-to-zero", "area-overflows-rabi", "subnormal-pulse-overflows-rabi",
+        "area-underflows-rabi"])
 @pytest.mark.parametrize("command", ["ion", "lindblad-check"])
-def test_optical_rabi_past_float_range_is_config_error(tmp_path, capsys, schedule, n, field, command):
-    # the optical Rabi frequency pulse_area / pulse length is 0-divided or overflows
+def test_optical_rabi_past_float_range_is_config_error(
+    tmp_path, capsys, schedule, n, field, fault, command
+):
+    # the optical Rabi frequency pulse_area / pulse length is 0-divided, overflows or underflows
     cfg = tmp_path / "pulse.cfg"
     cfg.write_text(f"{ION_CFG}\nlindblad = true\n\n[schedule]\n{schedule}\n")
     with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
@@ -329,7 +379,7 @@ def test_optical_rabi_past_float_range_is_config_error(tmp_path, capsys, schedul
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {field}: gives an optical Rabi frequency ")
-    assert captured.err.endswith(" that overflows\n")
+    assert captured.err.endswith(f" that {fault}\n")
 
 
 DEFAULT_STEP = ", 1/20 of the shortest of 1/omega, tau_sp and 1/(optical Rabi frequency)"
@@ -348,12 +398,15 @@ STEP_ION = "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n"
      + DEFAULT_STEP),
     ("lindblad-check", "[ion]\nomega = 1.0\ntau_sp = 1e-320\n",
      "gives inf steps over t_pi, more than the limit 1e+08 with the default step 0" + DEFAULT_STEP),
+    ("ion", "[ion]\nomega = 1e-200\ntau_sp = 1e-200\n\n[sweep]\nlindblad = true\n",
+     "gives inf steps over t_pi, more than the limit 1e+08 with the default step 5e-202"
+     + DEFAULT_STEP),
     ("lindblad-check", STEP_ION + "[schedule]\nintegrator_step = 1\n",
      "schedule.integrator_step: must be in (0, 0.0003125] to resolve the fastest timescale"),
     ("lindblad-check", STEP_ION + "[schedule]\nintegrator_step = 1e-12\n",
      "schedule.integrator_step: gives 3.14e+12 steps over t_pi, more than the limit 1e+08"),
-], ids=["huge-pulse-area", "short-lifetime", "slow-drive", "default-step-underflows", "step-too-large",
-        "step-too-small"])
+], ids=["huge-pulse-area", "short-lifetime", "slow-drive", "default-step-underflows",
+        "step-limit-before-bound", "step-too-large", "step-too-small"])
 def test_step_refusal_names_a_config_key(tmp_path, capsys, command, text, message):
     # A refused step names the file's [schedule] integrator_step when one was
     # set, and otherwise says where the default step comes from.
@@ -364,6 +417,26 @@ def test_step_refusal_names_a_config_key(tmp_path, capsys, command, text, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["ion"],
+    ["ion", "--config", "f.cfg", "--bogus"],
+    ["lindblad-check", "--config", "f.cfg", "--n-list"],
+], ids=["no-command", "no-config", "unknown-flag", "flag-without-value"])
+def test_usage_error_exit_code(argv, capsys):
+    # 2 is the code of a numeric failure; argparse's usage line and message still explain
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: zenosim")
+    assert "error: " in captured.err
+
+
+def test_help_exit_code(capsys):
+    assert main(["ion", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 class TestFixedCosts:
