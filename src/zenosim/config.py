@@ -7,11 +7,10 @@ default.
 """
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ScheduleParams
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_positive
 from .neutron import NeutronConfig
 
 _FORMATS = ("csv", "json")
@@ -68,9 +67,7 @@ def _positive_float(raw: str, field_name: str) -> float:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"not a number: {raw!r}", field=field_name) from exc
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"must be finite and > 0, got {value}", field=field_name)
-    return value
+    return check_positive(value, field_name)
 
 
 def _fraction(raw: str, field_name: str) -> float:

@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, IntegrationError, InvalidStateError, check_count
+from .errors import ConfigError, IntegrationError, InvalidStateError, check_count, check_positive
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
 from .states import BlochVector, as_density, np, validate_density
 
@@ -73,10 +73,8 @@ class IonConfig:
     n_pulses: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ConfigError("must be finite and > 0", field="ion.omega")
-        if not (math.isfinite(self.tau_sp) and self.tau_sp > 0):
-            raise ConfigError("must be finite and > 0", field="ion.tau_sp")
+        check_positive(self.omega, "ion.omega")
+        check_positive(self.tau_sp, "ion.tau_sp")
         object.__setattr__(self, "n_pulses", check_count(self.n_pulses, "ion.n_pulses"))
 
     @property
@@ -117,9 +115,7 @@ class PulseSchedule:
 
     def __post_init__(self):
         for name in ("optical_pulse_duration", "optical_rabi"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError("must be finite and > 0", field=f"schedule.{name}")
+            check_positive(getattr(self, name), f"schedule.{name}")
 
     @classmethod
     def equispaced(
@@ -140,8 +136,7 @@ class PulseSchedule:
         """
         if not 0 < duration_fraction < 1:
             raise ConfigError("must be in (0, 1)", field="schedule.pulse_duration_fraction")
-        if not (math.isfinite(pulse_area) and pulse_area > 0):
-            raise ConfigError("must be finite and > 0", field="schedule.pulse_area")
+        check_positive(pulse_area, "schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         rabi = pulse_area / duration if duration else math.inf
         if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
@@ -181,7 +176,7 @@ class LindbladConfig:
         if self.integrator_step is None:
             object.__setattr__(self, "integrator_step", bound)
             key = None
-        elif not 0 < self.integrator_step <= bound * (1 + 1e-12):
+        elif not check_positive(self.integrator_step, key) <= bound * (1 + 1e-12):
             raise ConfigError(f"must be in (0, {bound:.6g}] to resolve the fastest timescale", key)
         # Each segment takes at least one step, so this bounds the steps run; inf if bound is 0.
         steps = self.ion.t_pi / self.integrator_step + segments if bound else math.inf
@@ -212,12 +207,12 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
     Raises
     ------
     ValueError
-        If ``dt`` is negative or NaN.
+        If ``dt`` is negative or NaN, or the angle ``omega * dt`` is not finite.
     """
-    if not dt >= 0:
-        raise ValueError("dt must be >= 0")
-    r0 = BlochVector(*r0)
     angle = omega * dt
+    if not (dt >= 0 and abs(angle) < math.inf):  # NaN fails both
+        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
+    r0 = BlochVector(*r0)
     c, s = math.cos(angle), math.sin(angle)
     return BlochVector(r0.r1, r0.r2 * c - r0.r3 * s, r0.r2 * s + r0.r3 * c)
 
@@ -347,8 +342,8 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
 
     ``first`` indexes a chunk's first state (times: :func:`_state_times`).  Each
     segment advances a block at a time, one batched product of P^1..P^b with
-    the last state, into a chunk of up to ``_CHUNK`` states that runs across
-    segments and is validated whole before it is yielded.
+    the last state, into one reused buffer of ``_CHUNK`` states that runs across
+    segments; each chunk is validated whole and yielded as a view, to copy before resuming.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
@@ -376,7 +371,8 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
             size = min(key[2], n_steps - done)
             if filled + size > _CHUNK:
                 yield first, _validate_block(cfg, first, chunk[:filled])
-                first, filled, chunk = first + filled, 0, np.empty((_CHUNK, 9), dtype=complex)
+                # vec, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.
+                first, filled = first + filled, 0
             np.matmul(step_maps[key][:size], vec, out=chunk[filled:filled + size])
             filled += size
             vec = chunk[filled - 1]

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the measurement-count check."""
+"""Exception types shared across the package, and the one check each for a count and a parameter."""
 
+import contextlib
+import math
 import operator
 import sys
+from numbers import Real
 
 _MAX_COUNT = int(sys.float_info.max)  # the closed forms convert a count to a float
 
@@ -41,6 +44,26 @@ def check_count(n, field: str = "n") -> int:
     if value > _MAX_COUNT:
         raise ConfigError(f"must be at most {sys.float_info.max:.4g}", field=field)
     return value
+
+
+def check_positive(value, field: str):
+    """``value`` unchanged if a real, not ``bool``, and > 0 as a finite float; else ConfigError."""
+    with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range
+        if type(value) is not bool and isinstance(value, Real) and 0 < float(value) < math.inf:
+            return value
+    raise ConfigError(f"must be finite and > 0, got {value!r}", field=field)
+
+
+def floor_count(top: float, bottom: float) -> int:
+    """floor(top / bottom) as a count, within 2 ulps of rounding; refuses an infinite ratio."""
+    ratio = top / bottom if bottom else math.inf
+    if ratio == math.inf:
+        raise BoundViolationError(f"bound {top:.6g}/{bottom:.6g} is not a finite count")
+    # A ratio that is an integer k in real arithmetic arrives as pi/(pi/k), two roundings, so it
+    # may sit up to ~1.5 ulps under k.  Bump to the next integer only within 2 ulps: a 4-ulp guard
+    # would turn k + 1/2 into k + 1 near 1e15, where an ulp is 1/8.  An integer ratio stays.
+    n = math.floor(ratio)
+    return n + 1 if n < ratio and n + 1 - ratio <= 2 * math.ulp(n + 1) else n
 
 
 class IntegrationError(ZenoSimError):

@@ -13,25 +13,13 @@ falling to zero.
 import math
 
 from .dynamics import IonConfig, apply_projection, evolve_bloch
-from .errors import BoundViolationError, check_count
+from .errors import BoundViolationError, check_count, floor_count
 from .states import BlochVector, bloch_from_density, density_from_bloch
 
 #: Absolute agreement demanded of the three-level simulation against the
 #: projective closed form when the measurement lifetime is well separated
 #: from the measurement spacing.
 LINDBLAD_AGREEMENT_TOL = 0.05
-
-
-def _guarded_floor(top: float, bottom: float) -> int:
-    ratio = top / bottom if bottom else math.inf
-    if ratio == math.inf:
-        raise BoundViolationError(f"bound {top:.6g}/{bottom:.6g} is not a finite count")
-    # A ratio that is an integer k in real arithmetic arrives as pi/(pi/k),
-    # two roundings, so it may sit up to ~1.5 ulps under k.  Bump to the next
-    # integer only within 2 ulps: a 4-ulp guard would turn k + 1/2 into k + 1
-    # near 1e15, where an ulp is 1/8.  A ratio that is already an integer stays.
-    n = math.floor(ratio)
-    return n + 1 if n < ratio and n + 1 - ratio <= 2 * math.ulp(n + 1) else n
 
 
 def p2_closed_form(n: int) -> float:
@@ -77,7 +65,7 @@ def n_max(cfg: IonConfig) -> int:
         raise BoundViolationError(
             f"omega*tau_sp = {product:.6g} exceeds pi; no valid measurement count"
         )
-    return _guarded_floor(math.pi, product)
+    return floor_count(math.pi, product)
 
 
 def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:

@@ -7,10 +7,9 @@ large n instead; the crossover count is ``neutron_n_max``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import BoundViolationError, ConfigError, check_count
-from .ion import _guarded_floor
+from .errors import BoundViolationError, ConfigError, check_count, check_positive, floor_count
 
 
 @dataclass(frozen=True)
@@ -32,27 +31,26 @@ class NeutronConfig:
     mass: float | None = None
 
     def __post_init__(self):
+        for given in (f.name for f in fields(self) if getattr(self, f.name) is not None):
+            check_positive(getattr(self, given), f"neutron.{given}")
         # energy -> (the raw inputs whose product it is, how to name them)
         raw_inputs = {
             "delta_e_m": ((2.0, self.mu, self.b_field), "mu and b_field"),
             "delta_e_k": ((self.mass, self.v0, self.delta_v), "mass, v0 and delta_v"),
         }
         for name, (factors, inputs) in raw_inputs.items():
-            value = getattr(self, name)
-            if None not in factors:
-                raw = math.prod(factors)
+            value, field = getattr(self, name), f"neutron.{name}"
+            if None not in factors:  # the product of positive inputs may still over- or underflow
+                raw = check_positive(math.prod(factors), field)
                 if value is None:
                     value = raw
                     object.__setattr__(self, name, raw)
                 elif abs(value - raw) > 1e-12 * max(abs(value), abs(raw)):
                     raise ConfigError(
-                        f"value {value:.12g} disagrees with the raw-input value {raw:.12g}",
-                        field=f"neutron.{name}",
+                        f"value {value:.12g} disagrees with the raw-input value {raw:.12g}", field
                     )
-            if value is None or not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"must be finite and > 0 (give it or {inputs})", field=f"neutron.{name}"
-                )
+            if value is None:
+                raise ConfigError(f"must be finite and > 0 (give it or {inputs})", field)
 
 
 def p_up_ideal(n: int) -> float:
@@ -92,4 +90,4 @@ def neutron_n_max(cfg: NeutronConfig) -> int:
         raise BoundViolationError(
             f"phi0 = {phi0:.6g} is not below pi/2; no valid measurement count"
         )
-    return _guarded_floor(math.pi, 2.0 * phi0)
+    return floor_count(math.pi, 2.0 * phi0)

@@ -105,6 +105,21 @@ class TestPhiZero:
         with pytest.raises(ConfigError):
             NeutronConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, field, got", [
+        (dict(mu=-1.0, b_field=-1.0, delta_e_k=1.0), "neutron.mu", "-1.0"),  # product 2.0 > 0
+        (dict(delta_e_m=0.5, delta_e_k=1.0, v0=math.nan), "neutron.v0", "nan"),  # given, unused
+        (dict(mu=1e200, b_field=1e200, delta_e_k=1.0), "neutron.delta_e_m", "inf"),
+        (dict(delta_e_m=1.0, mu=1e200, b_field=1e200, delta_e_k=1.0), "neutron.delta_e_m", "inf"),
+        (dict(delta_e_m=1.0, mass=1e-200, v0=1e-200, delta_v=1.0), "neutron.delta_e_k", "0.0"),
+    ])
+    def test_raw_inputs_and_their_products_checked(self, kwargs, field, got):
+        # As a config file's [neutron] section is: each given value, then a
+        # product that overflows or underflows, even beside a given energy.
+        with pytest.raises(ConfigError) as err:
+            NeutronConfig(**kwargs)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: must be finite and > 0, got {got}"
+
     def test_energies_checked_in_field_order(self):
         # delta_e_m is out of range and delta_e_k disagrees with its raw inputs
         with pytest.raises(ConfigError) as err:

@@ -1,9 +1,14 @@
-"""Property tests: the oracle, the integer bounds, the pulse segments and the JSON round trip."""
+"""Property tests: the oracle, the integer bounds, the pulse segments, the JSON round trip and
+the rule for a physical parameter."""
 
 import io
 import json
 import math
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -11,6 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zenosim import (  # noqa: E402
+    ConfigError,
     IonConfig,
     LindbladConfig,
     NeutronConfig,
@@ -23,6 +29,7 @@ from zenosim import (  # noqa: E402
     n_max,
     neutron_n_max,
     p2_closed_form,
+    parse_config,
     p_up_ideal,
     p_up_limited,
     run_ion_sweep,
@@ -137,3 +144,66 @@ def test_json_bytes_equal_indent_2(rows, metadata):
     emit(SweepResult(tuple(rows), metadata), format="json", destination=buffer)
     expected = {"metadata": metadata, "rows": [vars(row) for row in rows]}
     assert buffer.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+
+NEUTRON_ENERGIES = {"delta_e_m": 0.4, "delta_e_k": 1.0}
+SLOW_ION = IonConfig(0.01, 100.0, 1)  # step bound 5: each accepted value below is a valid step
+
+
+def neutron_with(name):
+    return lambda value: NeutronConfig(**{**NEUTRON_ENERGIES, name: value})
+
+
+#: dotted field -> a library call that takes it as its one parameter, every other input valid
+LIBRARY = {
+    "ion.omega": lambda value: IonConfig(value, 0.1, 2),
+    "ion.tau_sp": lambda value: IonConfig(1.0, value, 2),
+    "schedule.optical_pulse_duration": lambda value: PulseSchedule(value, 10.0),
+    "schedule.optical_rabi": lambda value: PulseSchedule(0.01, value),
+    "schedule.pulse_area": lambda value: PulseSchedule.equispaced(SLOW_ION, pulse_area=value),
+    "schedule.integrator_step": lambda value: LindbladConfig(SLOW_ION, integrator_step=value),
+    **{f"neutron.{f.name}": neutron_with(f.name) for f in fields(NeutronConfig)},
+}
+#: The fields a config file also sets, each converted on its own.
+FILE_FIELDS = ["ion.omega", "ion.tau_sp", "schedule.pulse_area"] + [
+    f"neutron.{f.name}" for f in fields(NeutronConfig)
+]
+
+
+def refusal(call, *args) -> tuple[str, str] | None:
+    """The (field, message) of the ConfigError that ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except ConfigError as exc:
+        return exc.field, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", sorted(LIBRARY))
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1", Decimal("1")], ids=repr)
+def test_non_real_parameter_refused(field, value):
+    message = f"{field}: must be finite and > 0, got {value!r}"
+    assert refusal(LIBRARY[field], value) == (field, message)
+
+
+@pytest.mark.parametrize("field", sorted(LIBRARY))
+@pytest.mark.parametrize("value", [np.float64(0.001), 1, Fraction(1, 1000)], ids=repr)
+def test_real_parameter_accepted(field, value):
+    assert refusal(LIBRARY[field], value) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(FILE_FIELDS),
+    value=st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324]) | st.floats(),
+)
+def test_library_refuses_what_a_config_file_refuses(tmp_path_factory, field, value):
+    section, key = field.split(".")
+    lines = {**(NEUTRON_ENERGIES if section == "neutron" else {}), key: value}
+    path = tmp_path_factory.getbasetemp() / "parameter.cfg"
+    path.write_text(f"[{section}]\n" + "".join(f"{name} = {v!r}\n" for name, v in lines.items()))
+    in_file, in_library = refusal(parse_config, path), refusal(LIBRARY[field], value)
+    if in_file is not None:
+        assert in_library == in_file
+    else:  # the library may refuse for another reason, such as a Rabi frequency that underflows
+        assert in_library is None or "must be finite and > 0" not in in_library[1]
