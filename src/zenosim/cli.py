@@ -48,8 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_lindblad_check(cfg: RunConfig) -> int:
+def _run_lindblad_check(cfg: RunConfig, source: str) -> int:
+    """Print the check's table; ``source`` names the option or key that gave ``cfg.n_list``."""
     counts = _DEFAULT_CHECK_COUNTS if cfg.n_list is None else cfg.n_list
+    if not counts:  # a check of no row would pass
+        raise ConfigError("must name at least one count", field=source)
     rows = run_ion_sweep(dataclasses.replace(cfg, n_list=counts, lindblad=True)).rows
     worst = 0.0
     print("n,p2_projection,p2_lindblad,abs_deviation")
@@ -74,7 +77,7 @@ def main(argv=None) -> int:
         if args.n_list is not None:
             cfg = dataclasses.replace(cfg, n_list=parse_n_list(args.n_list, field_name="--n-list"))
         if args.command == "lindblad-check":
-            return _run_lindblad_check(cfg)
+            return _run_lindblad_check(cfg, "sweep.n_list" if args.n_list is None else "--n-list")
         # the output flags are read as the [output] keys are, before any row is run
         fmt = cfg.out_format if args.format is None else _out_format(args.format, "--format")
         out = cfg.out_path if args.out is None else _out_path(args.out, "--out")

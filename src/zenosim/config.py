@@ -10,7 +10,7 @@ import configparser
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ScheduleParams
-from .errors import ConfigError, check_count, check_positive
+from .errors import ConfigError, check_count, check_fraction, check_positive
 from .neutron import NeutronConfig
 
 _FORMATS = ("csv", "json")
@@ -71,10 +71,7 @@ def _positive_float(raw: str, field_name: str) -> float:
 
 
 def _fraction(raw: str, field_name: str) -> float:
-    value = _positive_float(raw, field_name)
-    if not value < 1:
-        raise ConfigError("must be < 1", field=field_name)
-    return value
+    return check_fraction(_positive_float(raw, field_name), field_name)
 
 
 def _boolean(raw: str, field_name: str) -> bool:

@@ -38,8 +38,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 
-from .errors import ConfigError, IntegrationError, InvalidStateError, check_count, check_positive
+from .errors import ConfigError, IntegrationError, InvalidStateError
+from .errors import check_count, check_fraction, check_positive
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
 from .states import BlochVector, as_density, np, validate_density
 
@@ -134,8 +136,7 @@ class PulseSchedule:
         overdamping suppresses the optical transfer and weakens the
         measurement itself.
         """
-        if not 0 < duration_fraction < 1:
-            raise ConfigError("must be in (0, 1)", field="schedule.pulse_duration_fraction")
+        check_fraction(duration_fraction, "schedule.pulse_duration_fraction")
         check_positive(pulse_area, "schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         rabi = pulse_area / duration if duration else math.inf
@@ -207,10 +208,14 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
     Raises
     ------
     ValueError
-        If ``dt`` is negative or NaN, or the angle ``omega * dt`` is not finite.
+        If ``omega`` or ``dt`` is a ``bool`` or not a real number, ``dt`` is
+        negative or NaN, or the angle ``omega * dt`` is not finite.
     """
-    angle = omega * dt
-    if not (dt >= 0 and abs(angle) < math.inf):  # NaN fails both
+    reals = (float, int, Real)  # float and int first: the ABC check alone takes ~0.7 us
+    real = (
+        bool not in (type(omega), type(dt)) and isinstance(omega, reals) and isinstance(dt, reals)
+    )
+    if not (real and dt >= 0 and abs(angle := omega * dt) < math.inf):  # NaN fails both
         raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
     r0 = BlochVector(*r0)
     c, s = math.cos(angle), math.sin(angle)

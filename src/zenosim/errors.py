@@ -54,6 +54,13 @@ def check_positive(value, field: str):
     raise ConfigError(f"must be finite and > 0, got {value!r}", field=field)
 
 
+def check_fraction(value, field: str):
+    """``value`` unchanged if it passes :func:`check_positive` and is < 1; else ConfigError."""
+    if check_positive(value, field) < 1:
+        return value
+    raise ConfigError("must be < 1", field=field)
+
+
 def floor_count(top: float, bottom: float) -> int:
     """floor(top / bottom) as a count, within 2 ulps of rounding; refuses an infinite ratio."""
     ratio = top / bottom if bottom else math.inf

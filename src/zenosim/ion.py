@@ -22,16 +22,23 @@ from .states import BlochVector, bloch_from_density, density_from_bloch
 LINDBLAD_AGREEMENT_TOL = 0.05
 
 
+def _p2(n: int, floor: float) -> float:
+    """[1 - cos^n(max(pi/n, floor))]/2 for a checked count; a zero floor gives the ideal form."""
+    return (1.0 - math.cos(max(math.pi / n, floor)) ** n) / 2.0
+
+
+def _p2_asymptotic(n: int) -> float:
+    return (1.0 - math.exp(-math.pi**2 / (2.0 * n))) / 2.0
+
+
 def p2_closed_form(n: int) -> float:
     """Upper-level probability after n projective measurements, [1 - cos^n(pi/n)]/2."""
-    n = check_count(n)
-    return (1.0 - math.cos(math.pi / n) ** n) / 2.0
+    return _p2(check_count(n), 0.0)
 
 
 def p2_asymptotic(n: int) -> float:
     """Large-n exponential form of :func:`p2_closed_form`, (1 - exp(-pi^2/2n))/2."""
-    n = check_count(n)
-    return (1.0 - math.exp(-math.pi**2 / (2.0 * n))) / 2.0
+    return _p2_asymptotic(check_count(n))
 
 
 def simulate_projective_sequence(cfg: IonConfig) -> float:
@@ -74,7 +81,5 @@ def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:
     Equals :func:`p2_closed_form` while n <= :func:`n_max`; for larger n the
     angle sticks at its lower bound and the value saturates at one half.
     """
-    n = check_count(n)
-    theta = max(math.pi / n, cfg.omega * cfg.tau_sp)
-    return (1.0 - math.cos(theta) ** n) / 2.0
+    return _p2(check_count(n), cfg.omega * cfg.tau_sp)
 

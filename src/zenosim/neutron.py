@@ -53,10 +53,14 @@ class NeutronConfig:
                 raise ConfigError(f"must be finite and > 0 (give it or {inputs})", field)
 
 
+def _p_up(n: int, floor: float) -> float:
+    """cos^2n(max(pi/2n, floor)) for a checked count; a zero floor gives the ideal form."""
+    return math.cos(max(math.pi / (2.0 * n), floor)) ** (2.0 * n)
+
+
 def p_up_ideal(n: int) -> float:
     """Survival probability [cos^2(pi/2n)]^n after n ideal measurements."""
-    n = check_count(n)
-    return math.cos(math.pi / (2.0 * n)) ** (2.0 * n)
+    return _p_up(check_count(n), 0.0)
 
 
 def phi_zero(cfg: NeutronConfig) -> float:
@@ -68,13 +72,13 @@ def p_up_limited(n: int, phi0: float) -> float:
     """Survival with the per-measurement angle clamped from below at ``phi0``.
 
     Equals :func:`p_up_ideal` while pi/2n >= phi0; for larger n the angle
-    sticks at phi0 and the survival decays like exp(-phi0^2 n).
+    sticks at phi0 and the survival decays like exp(-phi0^2 n).  ``phi0`` is
+    a parameter under :func:`check_positive`'s rule, and must be < pi/2.
     """
     n = check_count(n)
-    if not 0.0 < phi0 < math.pi / 2.0:
-        raise ValueError("phi0 must lie in (0, pi/2)")
-    phi = max(math.pi / (2.0 * n), phi0)
-    return math.cos(phi) ** (2.0 * n)
+    if not check_positive(phi0, "phi0") < math.pi / 2.0:
+        raise ConfigError(f"must be < pi/2, got {phi0!r}", field="phi0")
+    return _p_up(n, phi0)
 
 
 def neutron_n_max(cfg: NeutronConfig) -> int:

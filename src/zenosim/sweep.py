@@ -23,8 +23,8 @@ from datetime import datetime, timezone
 from .config import RunConfig
 from .dynamics import IonConfig, LindbladConfig, PulseSchedule, final_state
 from .errors import ConfigError, IntegrationError
-from .ion import n_max, p2_asymptotic, p2_closed_form, p2_decoherence_limited
-from .neutron import neutron_n_max, p_up_ideal, p_up_limited, phi_zero
+from .ion import _p2, _p2_asymptotic, n_max
+from .neutron import _p_up, neutron_n_max, phi_zero
 
 REGIME_VALID = "valid"
 REGIME_ILL_DEFINED = "ill-defined"
@@ -97,15 +97,13 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
             )
             for ion in (IonConfig(omega, tau_sp, n) for n in n_list)
         ]
-    # n_max and the clamp read only omega * tau_sp, so one config serves every row.
-    base = IonConfig(omega, tau_sp, 1)
-    bound = n_max(base)
-    rows = [
+    bound, floor = n_max(IonConfig(omega, tau_sp, 1)), omega * tau_sp  # IonConfig checks both
+    rows = [  # require_n_list checked each count, so the rows call the closed forms' kernels
         SweepRow(
             n=n,
-            p2_projection=p2_closed_form(n),
-            p2_asymptotic=p2_asymptotic(n),
-            p2_limited=p2_decoherence_limited(n, base),
+            p2_projection=_p2(n, 0.0),
+            p2_asymptotic=_p2_asymptotic(n),
+            p2_limited=_p2(n, floor),
             p2_lindblad=None if setup is None else lindblad_p2(setup),
             regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
         )
@@ -132,8 +130,8 @@ def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
     rows = tuple(
         NeutronRow(
             n=n,
-            p_up_ideal=p_up_ideal(n),
-            p_up_limited=p_up_limited(n, phi0),
+            p_up_ideal=_p_up(n, 0.0),
+            p_up_limited=_p_up(n, phi0),
             regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
         )
         for n in n_list
@@ -144,7 +142,7 @@ def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
         "phi0": phi0,
         "n_list": list(n_list),
     }
-    return _result(rows, NeutronRow, config, bound, p_up_at_n_max=p_up_limited(bound, phi0))
+    return _result(rows, NeutronRow, config, bound, p_up_at_n_max=_p_up(bound, phi0))
 
 
 def _format_value(value) -> str:

@@ -278,14 +278,21 @@ class TestLindbladCheckCommand:
         assert err.startswith("config error: gives inf steps over t_pi")
         assert len(err.splitlines()) == 1
 
-    def test_empty_n_list_replaces_the_defaults(self, tmp_path, capsys):
+    def test_empty_n_list_refused(self, tmp_path, capsys):
+        # a check of no row would pass; an empty --n-list replaces the file's list, then is refused
         cfg = tmp_path / "check.cfg"
-        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n")
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n[sweep]\nn_list = 2\n")
         with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
-            assert main(["lindblad-check", "--config", str(cfg), "--n-list", ""]) == 0
-        assert capsys.readouterr().out == (
-            "n,p2_projection,p2_lindblad,abs_deviation\n"
-            "max deviation: 0.000e+00 (tolerance 0.05)\n"
+            assert main(["lindblad-check", "--config", str(cfg), "--n-list", ","]) == 1
+        assert capsys.readouterr() == ("", "config error: --n-list: must name at least one count\n")
+
+    def test_empty_config_n_list_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n[sweep]\nn_list = ,\n")
+        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            assert main(["lindblad-check", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: sweep.n_list: must name at least one count\n"
         )
 
     def test_integration_failure_prints_no_row(self, tmp_path, capsys):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -237,6 +239,21 @@ class TestEvolveBloch:
         message = f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evolve_bloch(BlochVector(0, 0, -1), omega, dt)
+
+    @pytest.mark.parametrize("omega, dt", [
+        (True, True), (True, 1.0), (1.0, True), (1.0, np.bool_(True)), ("1", 2), (1.0, "1"),
+        (Decimal("1"), 1.0), (1.0, None), (1j, 1.0),
+    ], ids=repr)
+    def test_non_real_argument_rejected(self, omega, dt):
+        # True would rotate by one radian, and "1" * 2 is "11" before any arithmetic fails.
+        message = f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evolve_bloch(BlochVector(0, 0, -1), omega, dt)
+
+    def test_real_arguments_of_any_type_accepted(self):
+        expected = evolve_bloch(BlochVector(0, 0, -1), 0.5, 2.0)
+        for omega, dt in [(Fraction(1, 2), np.int64(2)), (np.float64(0.5), 2), (0.5, Fraction(2))]:
+            assert evolve_bloch(BlochVector(0, 0, -1), omega, dt) == expected
 
 
 class TestApplyProjection:

@@ -162,12 +162,20 @@ LIBRARY = {
     "schedule.optical_rabi": lambda value: PulseSchedule(0.01, value),
     "schedule.pulse_area": lambda value: PulseSchedule.equispaced(SLOW_ION, pulse_area=value),
     "schedule.integrator_step": lambda value: LindbladConfig(SLOW_ION, integrator_step=value),
+    "schedule.pulse_duration_fraction": lambda value: PulseSchedule.equispaced(
+        SLOW_ION, duration_fraction=value
+    ),
     **{f"neutron.{f.name}": neutron_with(f.name) for f in fields(NeutronConfig)},
+    "phi0": lambda value: p_up_limited(3, value),
+}
+#: The fields that must also stay below a bound: the bound, and the refusal there.
+BOUNDED = {
+    "phi0": (math.pi / 2, f"phi0: must be < pi/2, got {math.pi / 2!r}"),
+    "schedule.pulse_duration_fraction": (1, "schedule.pulse_duration_fraction: must be < 1"),
 }
 #: The fields a config file also sets, each converted on its own.
-FILE_FIELDS = ["ion.omega", "ion.tau_sp", "schedule.pulse_area"] + [
-    f"neutron.{f.name}" for f in fields(NeutronConfig)
-]
+FILE_FIELDS = ["ion.omega", "ion.tau_sp", "schedule.pulse_area", "schedule.pulse_duration_fraction"]
+FILE_FIELDS += [f"neutron.{f.name}" for f in fields(NeutronConfig)]
 
 
 def refusal(call, *args) -> tuple[str, str] | None:
@@ -186,10 +194,19 @@ def test_non_real_parameter_refused(field, value):
     assert refusal(LIBRARY[field], value) == (field, message)
 
 
-@pytest.mark.parametrize("field", sorted(LIBRARY))
+@pytest.mark.parametrize("field", sorted(LIBRARY.keys() - BOUNDED))
 @pytest.mark.parametrize("value", [np.float64(0.001), 1, Fraction(1, 1000)], ids=repr)
 def test_real_parameter_accepted(field, value):
     assert refusal(LIBRARY[field], value) is None
+
+
+@pytest.mark.parametrize("field", sorted(BOUNDED))
+def test_bounded_parameter_refused_at_its_bound(field):
+    bound, message = BOUNDED[field]
+    assert refusal(LIBRARY[field], bound) == (field, message)
+    assert refusal(LIBRARY[field], 2 * bound)[1].startswith(f"{field}: must be < ")
+    for value in [np.float64(0.001), Fraction(1, 1000), math.nextafter(bound, 0)]:
+        assert refusal(LIBRARY[field], value) is None
 
 
 @settings(max_examples=300, deadline=None)

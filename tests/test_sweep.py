@@ -10,6 +10,7 @@ import pytest
 
 from zenosim import (
     ConfigError,
+    IonConfig,
     NeutronConfig,
     NeutronRow,
     RunConfig,
@@ -17,6 +18,11 @@ from zenosim import (
     SweepRow,
     emit,
     load_result,
+    p2_asymptotic,
+    p2_closed_form,
+    p2_decoherence_limited,
+    p_up_ideal,
+    p_up_limited,
     parse_config,
     run_ion_sweep,
     run_neutron_sweep,
@@ -133,6 +139,34 @@ class TestNeutronSweep:
     def test_flags_past_bound(self):
         result = run_neutron_sweep(neutron_config(n_list=(15, 16)))
         assert [row.regime_flag for row in result.rows] == ["valid", "ill-defined"]
+
+
+def test_table_rows_make_no_count_check(monkeypatch):
+    # require_n_list has checked each count, so the rows reach the closed forms' kernels directly
+    ion_cfg = ion_config(n_list=(1, 2, 31, 32, 100))
+    neutron_cfg = neutron_config(n_list=(1, 2, 15, 16, 40))
+    ion, neutron = run_ion_sweep(ion_cfg), run_neutron_sweep(neutron_cfg)
+
+    def refuse(n, field="n"):
+        raise AssertionError(f"count {n!r} checked again")
+
+    monkeypatch.setattr("zenosim.ion.check_count", refuse)
+    monkeypatch.setattr("zenosim.neutron.check_count", refuse)
+    assert run_ion_sweep(ion_cfg).rows == ion.rows
+    unchecked = run_neutron_sweep(neutron_cfg)
+    assert unchecked.rows == neutron.rows
+    assert unchecked.metadata["p_up_at_n_max"] == neutron.metadata["p_up_at_n_max"]
+    base = IonConfig(1.0, 0.1, 1)
+    public = [
+        p2_closed_form,
+        p2_asymptotic,
+        lambda n: p2_decoherence_limited(n, base),
+        p_up_ideal,
+        lambda n: p_up_limited(n, 0.1),
+    ]
+    for closed_form in public:
+        with pytest.raises(AssertionError, match="^count 4 checked again$"):
+            closed_form(4)
 
 
 class TestEmit:
