@@ -56,8 +56,6 @@ def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]
             n = int(part)
         except ValueError as exc:
             raise ConfigError(f"not an integer: {part!r}", field=field_name) from exc
-        if n < 1:
-            raise ConfigError(f"counts must be >= 1, got {n}", field=field_name)
         values.append(check_count(n, field_name))
     return tuple(sorted(set(values)))
 

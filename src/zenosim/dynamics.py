@@ -21,17 +21,18 @@ steps aligned to the pulse-window boundaries so the piecewise-constant
 Hamiltonian never changes inside a step.  The drive signs follow the Bloch
 convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
 
-The equation is linear, so inside a segment one RK4 step is a fixed 9x9 map
-on the row-major vec(rho), P = sum_{k<=4} (h L)^k / k! with L the Liouvillian
-(Havel, J. Math. Phys. 44, 534 (2003)).  States come in blocks: a (b, 9, 9)
-stack of P..P^b, built once per row for each segment kind and step, takes the
-last state to the next b in one batched product.  Blocks fill chunks of up to
-512 states that run across segments; each chunk, states only, is validated at
-once before it is handed on, and one rule gives every state's time.  The gate
-reads a chunk's entries once, gathered as twelve rows over its states: the
-upper triangle, diagonal last, then each one's transpose partner, so that
-Hermiticity (row k against row k + 6), trace and the LDL^H pivots of
-positivity are all elementwise.
+The equation is linear and keeps rho Hermitian, so a state is carried as the
+nine reals x = (rho00, rho11, rho22, Re rho01, Im rho01, Re rho02, Im rho02,
+Re rho12, Im rho12) (Hioe & Eberly, Phys. Rev. Lett. 47, 838 (1981)), under the
+real generator omega G_rf + Omega_opt G_opt + gamma G_decay.  In a segment one
+RK4 step is the fixed 9x9 map P = sum_{k<=4} (h G)^k / k! (Havel, J. Math. Phys.
+44, 534 (2003)).  P..P^b, built once per row for each segment kind and step and
+stored flat as (9 b, 9), take the last state to the next b in one 2-D product.
+These blocks fill chunks of up to 512 states that run across segments; each
+chunk is validated at once, elementwise over its coordinate columns, for unit
+trace and the LDL^H pivots of positivity, since every state is Hermitian by
+construction: rho0 alone is checked for Hermiticity.  One rule gives every
+state's time.
 """
 
 import functools
@@ -43,21 +44,21 @@ from numbers import Real
 from .errors import ConfigError, IntegrationError, InvalidStateError
 from .errors import check_count, check_fraction, check_positive
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, as_density, np, validate_density
+from .states import BlochVector, as_density, hermiticity_residue, np, validate_density
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
 #: which a config is refused up front.  A step inside a long segment costs
-#: 0.35-0.55 us (numpy 2.4, 2.0 GHz Xeon), 35-55 s at the limit; a one-step
-#: segment 5-9 us, so a row of them at the limit runs 8-15 minutes.
+#: 0.12-0.15 us (numpy 2.4, one BLAS thread, 2.0 GHz Xeon), 12-15 s at the
+#: limit; a one-step segment 2.8-3.0 us, so a row of them runs about 5 minutes.
 MAX_STEPS = 10**8
 #: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
 _BLOCK = 64
 #: States validated, and yielded, at once: the blocks of one or more segments.
 _CHUNK = 8 * _BLOCK
-#: Row-major vec indices of a state's upper entries, diagonal last, then their transpose partners.
-_GATHER = [1, 2, 5, 0, 4, 8, 3, 6, 7, 0, 4, 8]
+#: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
+_I, _J = [0, 0, 1], [1, 2, 2]
 
 
 @dataclass(frozen=True)
@@ -263,29 +264,33 @@ def _state_times(cfg: LindbladConfig):
 
 
 @functools.cache
-def _superoperators() -> tuple:
-    """The 3x3 identity and the dissipator's superoperator, built on the first row.
+def _generator_parts() -> "np.ndarray":
+    """The real generator's parts per unit omega, optical Rabi frequency and gamma, as (3, 9, 9).
 
-    Row-major vec, vec(A X B) = (A kron B^T) vec X.  The jump operator |0><2|
-    (the auxiliary level decays to the lower level only) and its number operator
-    |2><2| are real, so no conjugate or transpose of them appears.
+    Row k is d x_k / dt of the optical Bloch equations: -i[H, rho] for each
+    drive of the Bloch convention, and the decay of level 2 into level 0.
     """
-    eye = np.eye(3)
-    jump, number = np.outer(eye[0], eye[2]), np.diag(eye[2])
-    return eye, np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
+    parts = np.zeros((3, 9, 9))  # parts[k][rows, columns] = entries
+    parts[0][[0, 1, 4, 4, 5, 6, 7, 8], [4, 4, 0, 1, 8, 7, 6, 5]] = 1, -1, -.5, .5, -.5, .5, -.5, .5
+    parts[1][[0, 2, 6, 6, 3, 4, 7, 8], [6, 6, 0, 2, 8, 7, 4, 3]] = 1, -1, -.5, .5, .5, .5, -.5, -.5
+    parts[2][[0, 2, 5, 6, 7, 8], [2, 2, 5, 6, 7, 8]] = 1, -1, -.5, -.5, -.5, -.5
+    return parts
 
 
-def _liouvillian(ham: "np.ndarray", gamma: float) -> "np.ndarray":
-    eye, dissipator = _superoperators()
-    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + gamma * dissipator
+def _states(xs: "np.ndarray", out: "np.ndarray | None" = None) -> "np.ndarray":
+    """(b, 3, 3) complex states of C-ordered (b, 9) coordinate rows, entry by entry, into ``out``."""
+    out = np.empty((len(xs), 3, 3), dtype=complex) if out is None else out
+    upper = xs[:, 3:].view(complex)
+    out[:, [0, 1, 2], [0, 1, 2]] = xs[:, :3]
+    out[:, _I, _J], out[:, _J, _I] = upper, upper.conj()
+    return out
 
 
 def _rk4_powers(generator: "np.ndarray", h: float, count: int) -> "np.ndarray":
-    """Stack P, P^2, ..., P^count of the RK4 step map P = sum_k (hL)^k / k!, k <= 4."""
+    """P, P^2, ..., P^count of the RK4 step map P = sum_k (hG)^k / k!, k <= 4, as one (9 count, 9)."""
     step = h * generator
-    term = np.eye(9, dtype=complex)
-    powers = np.empty((count, 9, 9), dtype=complex)
-    powers[0] = term
+    powers = np.empty((count, 9, 9))
+    powers[0] = term = np.eye(9)
     for k in range(1, 5):
         term = term @ step / k
         powers[0] += term
@@ -294,93 +299,87 @@ def _rk4_powers(generator: "np.ndarray", h: float, count: int) -> "np.ndarray":
         take = min(filled, count - filled)
         np.matmul(powers[:take], powers[filled - 1], out=powers[filled:filled + take])
         filled += take
-    return powers
+    return powers.reshape(-1, 9)
 
 
-def _positive_definite(g: "np.ndarray") -> "np.ndarray":
-    """Whether each state's Hermitian part plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
+def _positive_definite(x: "np.ndarray") -> "np.ndarray":
+    """Whether each state plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
 
-    ``g`` is a chunk gathered by ``_GATHER``: rows 0-2 hold each state's upper
-    entries (0,1), (0,2), (1,2), rows 3-5 its diagonal and rows 6-8 the lower
-    partners (1,0), (2,0), (2,1).  As reliable as Cholesky, and without LAPACK,
-    whose eigensolver pages in about 1 MB of library code.  Call it with
-    divide, invalid and overflow ignored: a non-finite or huge state fails.
+    ``x`` is (9, b), a chunk's coordinates as rows, so rho_10 = x[3] - i x[4] and so on.
+    As reliable as Cholesky, and without LAPACK, whose eigensolver pages in
+    about 1 MB of library code.  Call it with divide, invalid and overflow
+    ignored: a non-finite or huge state fails.
     """
-    a10, a20, a21 = 0.5 * (g[6:9] + g[0:3].conj())
-    d1 = g[3].real + TRAJECTORY_MIN_EIG_TOL
-    d2 = g[4].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a10) ** 2 / d1
-    d2_l32 = a21 - a20 * a10.conj() / d1  # d2 times L[2, 1]
-    d3 = g[5].real + TRAJECTORY_MIN_EIG_TOL - np.abs(a20) ** 2 / d1 - np.abs(d2_l32) ** 2 / d2
+    d1 = x[0] + TRAJECTORY_MIN_EIG_TOL
+    d2 = x[1] + TRAJECTORY_MIN_EIG_TOL - (x[3] ** 2 + x[4] ** 2) / d1
+    # d2 times L[2, 1]: rho_21 - rho_20 conj(rho_10) / d1, its real part and minus its imaginary one
+    l_re = x[7] - (x[5] * x[3] + x[6] * x[4]) / d1
+    l_im = x[8] + (x[5] * x[4] - x[6] * x[3]) / d1
+    d3 = x[2] + TRAJECTORY_MIN_EIG_TOL - (x[5] ** 2 + x[6] ** 2) / d1 - (l_re ** 2 + l_im ** 2) / d2
     return (d1 > 0) & (d2 > 0) & (d3 > 0)
 
 
 def _validate_block(cfg: LindbladConfig, first: int, rows: "np.ndarray") -> "np.ndarray":
-    """A chunk's (b, 9) vec rows as (b, 3, 3) states, or raise at the earliest bad state.
+    """A chunk's (b, 9) coordinate rows, or raise at the earliest bad state.
 
     ``first`` is the trajectory index of the chunk's first state.  At the bad
-    state Hermiticity is reported first, then trace, then positivity.
-    Comparisons are written so that NaN fails them.  Only a failure makes
-    times, walking :func:`_state_times` up to the bad state: 15-20 s at the end
-    of a ``MAX_STEPS`` row, against a run of 35-55 s.
+    state trace is reported first, then positivity.  Comparisons are written
+    so that NaN fails them.  Only a failure makes times, walking
+    :func:`_state_times` up to the bad state: about 9 s at the end of a ``MAX_STEPS`` row.
     """
-    g = rows.T[_GATHER]  # (12, b), each entry contiguous over the chunk: every check is elementwise
+    x = rows.T  # (9, b): each coordinate over the chunk, so every check is elementwise
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite or huge: fails
-        herm = np.abs(g[:6] - g[6:].conj()).max(axis=0)  # hermiticity_residue, each pair once
-        trace = np.abs(g[3] + g[4] + g[5] - 1.0)
-        positive = _positive_definite(g)
-    ok = (herm <= TRAJECTORY_HERMITICITY_TOL) & (trace <= TRAJECTORY_TRACE_TOL) & positive
+        trace = np.abs(x[0] + x[1] + x[2] - 1.0)
+        ok = (trace <= TRAJECTORY_TRACE_TOL) & _positive_definite(x)
     if ok.all():
-        return rows.reshape(-1, 3, 3)
+        return rows
     i = int(np.argmin(ok))
-    if not herm[i] <= TRAJECTORY_HERMITICITY_TOL:
-        lost = f"Hermiticity (residue {herm[i]:.3e})"
-    elif not trace[i] <= TRAJECTORY_TRACE_TOL:
+    if not trace[i] <= TRAJECTORY_TRACE_TOL:
         lost = f"unit trace (residue {trace[i]:.3e})"
-    else:  # the smallest eigenvalue of its Hermitian part
-        lost = f"positivity (min eig {validate_density(rows[i].reshape(3, 3)).min_eigenvalue:.3e})"
+    else:
+        lost = f"positivity (min eig {validate_density(_states(rows[i:i + 1])[0]).min_eigenvalue:.3e})"
     time = next(itertools.islice(_state_times(cfg), first + i, None))
     raise IntegrationError(f"state lost {lost}", time=time)
 
 
 def _trajectory_chunks(cfg: LindbladConfig, rho0):
-    """Yield validated (first, (b, 3, 3) states) chunks of the trajectory, rho0 at t=0 alone first.
+    """Yield validated (first, (b, 9) coordinates) chunks of the trajectory, rho0 at t=0 alone first.
 
     ``first`` indexes a chunk's first state (times: :func:`_state_times`).  Each
-    segment advances a block at a time, one batched product of P^1..P^b with
-    the last state, into one reused buffer of ``_CHUNK`` states that runs across
+    segment advances a block at a time, one 2-D product of P^1..P^b with the
+    last state, into one reused buffer of ``_CHUNK`` states that runs across
     segments; each chunk is validated whole and yielded as a view, to copy before resuming.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
         raise InvalidStateError("initial state must be 3x3")
+    residue = float(hermiticity_residue(rho))
+    if not residue <= TRAJECTORY_HERMITICITY_TOL:
+        raise IntegrationError(f"state lost Hermiticity (residue {residue:.3e})", time=0.0)
+    with np.errstate(invalid="ignore", over="ignore"):  # a huge pair may overflow: the gate fails it
+        upper = 0.5 * (rho[_I, _J] + rho[_J, _I].conj())
+    x = np.concatenate((rho.diagonal().real, upper.view(float)))  # rho0's Hermitian part as x
+    yield 0, _validate_block(cfg, 0, x[None])
 
-    h_free = np.zeros((3, 3), dtype=complex)
-    h_free[0, 1] = h_free[1, 0] = -cfg.ion.omega / 2.0
-    h_pulse = h_free.copy()
-    if cfg.schedule is not None:
-        if not cfg.schedule.rf_during_pulse:
-            h_pulse[:] = 0.0
-        h_pulse[0, 2] = h_pulse[2, 0] = -cfg.schedule.optical_rabi / 2.0
-    generators = {False: _liouvillian(h_free, cfg.gamma), True: _liouvillian(h_pulse, cfg.gamma)}
-
-    vec = rho.reshape(9)
-    yield 0, _validate_block(cfg, 0, vec[None])
-    step_maps = {}  # (count, 9, 9) per exact (pulse_on, h, count); its 9x9 products use one core
-    first, filled, chunk = 1, 0, np.empty((_CHUNK, 9), dtype=complex)
+    rf, optical, decay = _generator_parts()
+    step_maps = {}  # (9 count, 9) per exact (pulse_on, h, count); its products use one core
+    first, filled, chunk = 1, 0, np.empty((_CHUNK, 9))
     for start, end, pulse_on, n_steps in _segments(cfg):
         h = (end - start) / n_steps
         key = (pulse_on, h, min(_BLOCK, n_steps))
         if key not in step_maps:
-            step_maps[key] = _rk4_powers(generators[pulse_on], h, key[2])
+            omega = cfg.ion.omega if not pulse_on or cfg.schedule.rf_during_pulse else 0.0
+            rabi = cfg.schedule.optical_rabi if pulse_on else 0.0
+            step_maps[key] = _rk4_powers(omega * rf + rabi * optical + cfg.gamma * decay, h, key[2])
         for done in range(0, n_steps, key[2]):
             size = min(key[2], n_steps - done)
             if filled + size > _CHUNK:
                 yield first, _validate_block(cfg, first, chunk[:filled])
-                # vec, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.
+                # x, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.
                 first, filled = first + filled, 0
-            np.matmul(step_maps[key][:size], vec, out=chunk[filled:filled + size])
+            np.matmul(step_maps[key][:9 * size], x, out=chunk[filled:filled + size].reshape(-1))
             filled += size
-            vec = chunk[filled - 1]
+            x = chunk[filled - 1]
     yield first, _validate_block(cfg, first, chunk[:filled])
 
 
@@ -398,23 +397,23 @@ def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarr
     -------
     list of (time, ndarray)
         The stored trajectory, one state per integrator step, ending exactly
-        at ``cfg.ion.t_pi``.  Every stored state is validated for trace,
-        Hermiticity, and positivity; the returned arrays are read-only.  It keeps
-        about 360 B per state (36 GB at ``MAX_STEPS``): for long rows use
-        :func:`final_state` or ``sweep.lindblad_p2``.
+        at ``cfg.ion.t_pi``, the first being rho0's Hermitian part.  Every state
+        is Hermitian by construction and validated for trace and positivity; the
+        returned arrays are read-only.  It keeps about 360 B per state (36 GB at
+        ``MAX_STEPS``): for long rows use :func:`final_state` or ``sweep.lindblad_p2``.
 
     Raises
     ------
     InvalidStateError
         If ``rho0`` is not 3x3.
     IntegrationError
-        If any stored state (including ``rho0`` at t=0) violates a state
-        invariant, or is not finite; the error carries the offending time.
+        If ``rho0`` is not Hermitian, or any stored state (``rho0`` at t=0
+        included) loses unit trace or positivity; the error carries its time.
     """
     times = list(_state_times(cfg))  # one per stored state, so also their count
     stored = np.empty((len(times), 3, 3), dtype=complex)
-    for first, states in _trajectory_chunks(cfg, rho0):
-        stored[first:first + len(states)] = states
+    for first, xs in _trajectory_chunks(cfg, rho0):
+        _states(xs, stored[first:first + len(xs)])
     stored.flags.writeable = False
     return list(zip(times, stored))
 
@@ -424,9 +423,9 @@ def final_state(cfg: LindbladConfig, rho0) -> "np.ndarray":
 
     Every intermediate state is still validated, with the same errors, and no time is made.
     """
-    for _, states in _trajectory_chunks(cfg, rho0):
-        last = states[-1]
-    return last.copy()
+    for _, xs in _trajectory_chunks(cfg, rho0):
+        last = xs[-1:]
+    return _states(last)[0]
 
 
 def populations(traj: "list[tuple[float, np.ndarray]]") -> list[tuple[float, float, float, float]]:

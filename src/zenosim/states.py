@@ -54,7 +54,7 @@ BLOCH_NORM_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-12
 #: Trace drift tolerated along an integrated trajectory.
 TRAJECTORY_TRACE_TOL = 1e-9
-#: Hermiticity residue tolerated along an integrated trajectory.
+#: Hermiticity residue tolerated in an integration's initial state; later ones are Hermitian by construction.
 TRAJECTORY_HERMITICITY_TOL = 1e-10
 #: Most negative eigenvalue tolerated along an integrated trajectory.
 TRAJECTORY_MIN_EIG_TOL = 1e-8

@@ -39,10 +39,12 @@ from zenosim.dynamics import (
     TRAJECTORY_TRACE_TOL,
     _BLOCK,
     _CHUNK,
-    _GATHER,
+    _generator_parts,
     _positive_definite,
     _rk4_powers,
     _segments,
+    _states,
+    _trajectory_chunks,
     _validate_block,
     final_state,
 )
@@ -53,6 +55,53 @@ GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 #: The white-box gate tests' trajectory: one segment of 1000 steps of 0.01, state k at k * 0.01.
 GATE_CFG = LindbladConfig(IonConfig(math.pi / 10, 1e3, 1), integrator_step=0.01)
+#: A state with two eigenvalues -NEGATIVE inside the tolerance: the decay of
+#: level 2 pours its share into level 0, so the smallest eigenvalue falls to
+#: about -2 NEGATIVE, still inside it, and keeps falling while level 2 decays.
+NEGATIVE = 0.4e-8
+LEAKY3 = np.diag([-NEGATIVE, 1.0 + 2.0 * NEGATIVE, -NEGATIVE]).astype(complex)
+
+
+def coordinate_maps() -> tuple[np.ndarray, np.ndarray]:
+    """A and B of x = A vec(rho) (for a Hermitian rho) and vec(rho) = B x, from their entries.
+
+    x = (rho00, rho11, rho22, Re rho01, Im rho01, Re rho02, Im rho02, Re rho12,
+    Im rho12) and vec is row-major: A has entries 1, 1/2 and -+i/2, B 1 and +-i.
+    """
+    to_x, from_x = np.zeros((9, 9), dtype=complex), np.zeros((9, 9), dtype=complex)
+    for k, at in enumerate((0, 4, 8)):
+        to_x[k, at] = from_x[at, k] = 1.0
+    for k, (upper, lower) in zip((3, 5, 7), ((1, 3), (2, 6), (5, 7))):
+        to_x[k, [upper, lower]] = 0.5
+        to_x[k + 1, [upper, lower]] = -0.5j, 0.5j
+        from_x[[upper, lower], k] = 1.0
+        from_x[[upper, lower], k + 1] = 1j, -1j
+    return to_x, from_x
+
+
+TO_X, FROM_X = coordinate_maps()
+
+
+def to_x(states) -> np.ndarray:
+    """(b, 9) coordinates of the Hermitian parts of finite 3x3 states, by A, in C order."""
+    return np.ascontiguousarray((np.asarray(states, dtype=complex).reshape(-1, 9) @ TO_X.T).real)
+
+
+def from_x(rows: np.ndarray) -> np.ndarray:
+    """(b, 9) row-major vec rows of finite coordinate rows, by B."""
+    return rows @ FROM_X.T
+
+
+def liouvillian(ham: np.ndarray, gamma: float) -> np.ndarray:
+    """The complex 9x9 Liouvillian on row-major vec(rho), vec(A X B) = (A kron B^T) vec X.
+
+    The jump operator |0><2| and its number operator |2><2| are real, so no
+    conjugate or transpose of them appears.
+    """
+    eye = np.eye(3)
+    jump, number = np.outer(eye[0], eye[2]), np.diag(eye[2])
+    dissipator = np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
+    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + gamma * dissipator
 
 
 def reference_times(cfg: LindbladConfig) -> list[float]:
@@ -138,11 +187,11 @@ def listed_segments(cfg: LindbladConfig) -> list[tuple[float, float, bool, int]]
 
 
 def reference_gate(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[str, float] | None:
-    """The integrator gate on a transposed copy of the chunk and a (b, 3, 3) stack.
+    """The integrator gate on complex (b, 9) vec rows, Hermiticity first.
 
-    How ``_validate_block`` computed its residues and LDL^H pivots before it
-    gathered each entry once, kept as the reference for its verdicts: None if
-    the chunk, whose first state is state ``first`` of ``cfg``'s trajectory,
+    How the gate checked complex states before it read real coordinates, kept
+    as the reference for its verdicts and for rho0's checks: None if the
+    chunk, whose first state is state ``first`` of ``cfg``'s trajectory,
     passes, else the (message, time) of its first failure.
     """
     cols = rows.T.copy()
@@ -169,12 +218,23 @@ def reference_gate(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[s
 
 
 def gate_outcome(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[str, float] | None:
-    """``_validate_block``'s verdict in :func:`reference_gate`'s terms."""
+    """``_validate_block``'s verdict on (b, 9) coordinate rows in :func:`reference_gate`'s terms."""
     try:
-        states = _validate_block(cfg, first, rows)
+        passed = _validate_block(cfg, first, rows)
     except IntegrationError as err:
         return err.message, err.time
-    np.testing.assert_array_equal(states, rows.reshape(-1, 3, 3))
+    assert passed is rows
+    return None
+
+
+def rho0_outcome(rho0: np.ndarray) -> tuple[str, float] | None:
+    """The verdict on ``rho0`` of ``GATE_CFG``'s integration, in :func:`reference_gate`'s terms."""
+    try:
+        first, rows = next(_trajectory_chunks(GATE_CFG, rho0))
+    except IntegrationError as err:
+        return err.message, err.time
+    assert first == 0
+    np.testing.assert_array_equal(rows, to_x(rho0))
     return None
 
 
@@ -484,20 +544,18 @@ class TestIntegrateLindblad:
             integrate_lindblad(LindbladConfig(IonConfig(1.0, 0.1, 1)), np.diag([1.0, 0.0]))
 
     def test_gate_reports_earliest_state_in_check_order(self):
-        # The earliest failing state is named; at that state Hermiticity is
-        # reported before trace, and trace before positivity.
+        # The earliest failing state is named; at that state trace is reported
+        # before positivity, and rho0's Hermiticity before both.
         good = GROUND3
         negative = np.diag([1.5, -0.5, 0.0]).astype(complex)  # positivity only
-        everything = np.diag([1.5, -0.4, 0.0]).astype(complex)
-        everything[0, 1] = 1e-3  # all three checks
         trace_and_positivity = np.diag([1.5, -0.4, 0.0]).astype(complex)
 
         def gate(stack):  # the chunk from rho0: times 0.0, 0.01, 0.02, ...
-            _validate_block(GATE_CFG, 0, np.array(stack).reshape(-1, 9))
+            _validate_block(GATE_CFG, 0, to_x(stack))
 
         cases = [
-            ([good, negative, everything], "positivity (min eig -5.000e-01)", 0.01),
-            ([good, everything, negative], "Hermiticity (residue 1.000e-03)", 0.01),
+            ([good, negative, trace_and_positivity], "positivity (min eig -5.000e-01)", 0.01),
+            ([good, trace_and_positivity, negative], "unit trace (residue 1.000e-01)", 0.01),
             ([good, good, trace_and_positivity], "unit trace (residue 1.000e-01)", 0.02),
         ]
         for stack, lost, time in cases:
@@ -505,6 +563,12 @@ class TestIntegrateLindblad:
                 gate(stack)
             assert (err.value.message, err.value.time) == (f"state lost {lost}", time)
         gate([good] * 4)
+        everything = trace_and_positivity.copy()
+        everything[0, 1] = 1e-3  # all three checks
+        for run in (integrate_lindblad, final_state):
+            with pytest.raises(IntegrationError) as err:
+                run(GATE_CFG, everything)
+            assert (err.value.message, err.value.time) == ("state lost Hermiticity (residue 1.000e-03)", 0.0)
 
     def test_failure_reported_at_earliest_state(self):
         # Two negative eigenvalues inside tolerance at t=0: the decay pours
@@ -535,7 +599,7 @@ class TestIntegrateLindblad:
         herm = (basis * spectrum[:, None, :]) @ basis.conj().swapaxes(1, 2)
         want = np.linalg.eigvalsh(herm)[:, 0] >= -TRAJECTORY_MIN_EIG_TOL
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            got = _positive_definite(herm.reshape(-1, 9).T[_GATHER])
+            got = _positive_definite(to_x(herm).T)
         assert want.any() and not want.all()
         np.testing.assert_array_equal(got, want)
 
@@ -563,6 +627,80 @@ class TestEngineMatchesReferenceLoop:
         got = np.array([rho for _, rho in traj])
         assert np.max(np.abs(got - want)) <= 1e-12
         np.testing.assert_array_equal(final_state(cfg, GROUND3), traj[-1][1])
+
+
+class TestHermitianByConstruction:
+    @pytest.mark.parametrize(
+        "n, lifetime_ratio, fraction, rf_during_pulse",
+        list(itertools.product((1, 2, 4), (5, 20, 100), (0.025, 0.05), (True, False))),
+    )
+    def test_every_state_exactly_hermitian(self, n, lifetime_ratio, fraction, rf_during_pulse):
+        # TestEngineMatchesReferenceLoop's grid: no state needs a Hermiticity check.
+        ion = IonConfig(1.0, (math.pi / n) / lifetime_ratio, n)
+        sched = PulseSchedule.equispaced(
+            ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
+        )
+        traj = integrate_lindblad(LindbladConfig(ion, sched), GROUND3)
+        assert (hermiticity_residue(np.array([rho for _, rho in traj])) == 0.0).all()
+
+
+class TestRealCoordinates:
+    """The real generator and the conversions against the complex Liouvillian and the maps A, B."""
+
+    def test_maps_are_inverse(self):
+        np.testing.assert_array_equal(TO_X @ FROM_X, np.eye(9))
+
+    def test_generator_parts_are_the_liouvillian_in_coordinates(self):
+        eye = np.eye(3)
+        rf, optical, decay = _generator_parts()
+        for part, (a, b), gamma in ((rf, (0, 1), 0.0), (optical, (0, 2), 0.0), (decay, (0, 0), 1.0)):
+            ham = -0.5 * (np.outer(eye[a], eye[b]) + np.outer(eye[b], eye[a])) if a != b else 0 * eye
+            want = TO_X @ liouvillian(ham, gamma) @ FROM_X
+            assert not want.imag.any()
+            assert np.abs(part - want.real).max() <= 1e-15
+
+    @pytest.mark.parametrize("n, tau_sp, rf_during_pulse", [
+        (2, math.pi / 2 / 20, True), (8, math.pi / 8 / 20, True), (4, 0.01, False), (3, 0.1, True),
+    ])
+    def test_engine_generators_are_the_liouvillian_in_coordinates(self, n, tau_sp, rf_during_pulse):
+        ion = IonConfig(1.0, tau_sp, n)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, rf_during_pulse=rf_during_pulse))
+        want = {on: TO_X @ generator @ FROM_X for on, generator in reference_generators(cfg).items()}
+        with mock.patch("zenosim.dynamics._rk4_powers", wraps=_rk4_powers) as build:
+            final_state(cfg, GROUND3)
+        seen = set()
+        for call in build.call_args_list:
+            pulse_on = bool(call.args[0][0, 6])  # the optical drive moves rho00 with Im rho02
+            assert np.abs(call.args[0] - want[pulse_on]).max() <= 1e-15
+            seen.add(pulse_on)
+        assert seen == {False, True}
+
+    def test_conversions_are_the_maps(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):  # rho0 within the Hermiticity tolerance starts as A vec(rho0)
+            rho = density(rng, int(rng.integers(1, 4)))
+            rho[2, 0] += 5e-11 * np.exp(2j * math.pi * rng.random())
+            assert rho0_outcome(rho) is None
+        xs = rng.normal(size=(300, 9))
+        np.testing.assert_array_equal(_states(xs).reshape(-1, 9), from_x(xs))
+        out = np.full((300, 3, 3), np.nan, dtype=complex)  # every entry is assigned
+        assert _states(xs, out) is out
+        np.testing.assert_array_equal(out.reshape(-1, 9), from_x(xs))
+
+    def test_clean_row_calls_no_linalg(self):
+        # LAPACK stays unloaded on a row that passes: an eigensolver is only
+        # called to report a lost positivity.
+        ion = IonConfig(1.0, math.pi / 8 / 20, 8)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
+        raising = {
+            name: mock.Mock(side_effect=AssertionError(f"numpy.linalg.{name} called"))
+            for name in np.linalg.__all__
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)
+        }
+        with mock.patch.multiple(np.linalg, **raising):
+            final_state(cfg, GROUND3)
+            with pytest.raises(AssertionError, match="numpy.linalg.eigvalsh called"):
+                validate_density(GROUND3)
 
 
 #: (n, tau_sp, fraction, rf_during_pulse) of the equispaced-schedule grid, at omega = 1.
@@ -645,11 +783,13 @@ class TestChunkedEngine:
 
     def test_block_products_run_on_one_core(self):
         # A fresh interpreter with no *_NUM_THREADS variable runs numpy at its
-        # default thread count, where OpenBLAS spreads a product of over 4096
-        # entries across every core and its threads spin between calls: one
-        # (9 * 64, 9) product per block would about double a pass's CPU time.
-        # A batched (b, 9, 9) product stays under that size.  On a single-core
-        # machine CPU time cannot exceed wall time and this passes trivially.
+        # default thread count, where OpenBLAS spreads a complex matrix-vector
+        # product of over 4096 entries across every core and its threads spin
+        # between calls: one complex (9 * 64, 9) product per block would about
+        # double a pass's CPU time.  The real (9 * 64, 9) product the engine
+        # makes stays on one core (real (m, 9) ones did up to m = 8000 with
+        # OpenBLAS 0.3.31).  On a single-core machine CPU time cannot exceed
+        # wall time and this passes trivially.
         env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-c", LINDBLAD_CHECK_PASSES],
@@ -684,55 +824,57 @@ class TestChunkedEngine:
         assert gate.call_count <= 2 + steps / (_CHUNK - _BLOCK)
 
     def test_failure_in_later_segment_of_chunk(self):
-        # One-step segments, so a chunk spans _CHUNK segments; a patched
-        # tolerance fails a state inside one, after others that pass.
+        # One-step segments, so a chunk spans _CHUNK segments; a tolerance
+        # patched between a state's smallest eigenvalue and those before it
+        # fails that state inside one, after others that pass.
         ion = IonConfig(1.0, 0.1, 2000)
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, pulse_area=1e-9))
         assert {seg[3] for seg in _segments(cfg)} == {1}
-        traj = integrate_lindblad(cfg, GROUND3)
-        residues = hermiticity_residue(np.array([rho for _, rho in traj]))
-        tol = float(np.max(residues[:_CHUNK + 100]))
-        first = int(np.argmax(residues > tol))
-        assert residues[first] > tol and (first - 1) % _CHUNK > 0
-        lost = f"state lost Hermiticity (residue {residues[first]:.3e})"
-        with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", tol):
+        traj = integrate_lindblad(cfg, LEAKY3)
+        low = np.linalg.eigvalsh(np.array([rho for _, rho in traj]))[:, 0]
+        first = _CHUNK + 100
+        assert low[first] < low[:first].min() and (first - 1) % _CHUNK > 0
+        lost = f"state lost positivity (min eig {validate_density(traj[first][1]).min_eigenvalue:.3e})"
+        with mock.patch("zenosim.dynamics.TRAJECTORY_MIN_EIG_TOL", -(low[first] + low[:first].min()) / 2):
             for run in (integrate_lindblad, final_state):
                 with pytest.raises(IntegrationError) as err:
-                    run(cfg, GROUND3)
+                    run(cfg, LEAKY3)
                 assert (err.value.message, err.value.time) == (lost, traj[first][0])
 
     def test_failure_time_at_segment_end_and_inside_block(self):
-        # A tolerance patched to the largest residue before a chosen state
-        # fails that state: the last of a multi-block segment, whose time is
-        # the segment's end and not start + n_steps * h, and one inside a
-        # block of a later chunk, at start + i * h.
-        ion = IonConfig(1.0, 0.1, 3)
+        # A tolerance patched between a chosen state's residue and the largest
+        # before it fails that state: the last of a multi-block segment, whose
+        # time is the segment's end and not start + n_steps * h, and one inside
+        # a block of a later chunk, at start + i * h.
+        ion = IonConfig(1.0, 1.0, 3)
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05))
         segments = list(_segments(cfg))
-        traj = integrate_lindblad(cfg, GROUND3)
-        states = np.array([rho for _, rho in traj])
-        herm = hermiticity_residue(states)
-        trace = np.abs(states.trace(axis1=1, axis2=2) - 1.0)
         start, end, _, n_steps = segments[0]
         assert n_steps > _BLOCK and start + n_steps * ((end - start) / n_steps) != end
-        later_start, later_end, _, later_steps = segments[4]  # the third gap
+        # Positivity at the segment's end: LEAKY3's level 2 is still decaying there.
+        traj = integrate_lindblad(cfg, LEAKY3)
+        low = np.linalg.eigvalsh(np.array([rho for _, rho in traj]))[:, 0]
+        assert low[n_steps] < low[:n_steps].min() and traj[n_steps][0] == end
+        lost = f"positivity (min eig {validate_density(traj[n_steps][1]).min_eigenvalue:.3e})"
+        cases = [(LEAKY3, "TRAJECTORY_MIN_EIG_TOL", -(low[n_steps] + low[:n_steps].min()) / 2,
+                  lost, end)]
+        # Trace inside a block of the third gap, in a later chunk.
+        traj = integrate_lindblad(cfg, GROUND3)
+        trace = np.abs(np.array([rho for _, rho in traj]).trace(axis1=1, axis2=2) - 1.0)
+        later_start, later_end, _, later_steps = segments[4]
         base = sum(seg[3] for seg in segments[:4])
         i = next(i for i in range(1, later_steps)
                  if 0 < (i - 1) % _BLOCK < _BLOCK - 1 and trace[base + i] > trace[:base + i].max())
-        cases = [
-            ("TRAJECTORY_HERMITICITY_TOL", "Hermiticity", herm, n_steps, end),
-            ("TRAJECTORY_TRACE_TOL", "unit trace", trace, base + i,
-             later_start + i * ((later_end - later_start) / later_steps)),
-        ]
-        assert base + i > _CHUNK + 1
-        for name, check, residues, index, time in cases:
-            assert residues[index] > residues[:index].max() and traj[index][0] == time
-            lost = f"state lost {check} (residue {residues[index]:.3e})"
-            with mock.patch(f"zenosim.dynamics.{name}", float(residues[:index].max())):
+        time = later_start + i * ((later_end - later_start) / later_steps)
+        assert base + i > _CHUNK + 1 and traj[base + i][0] == time
+        cases.append((GROUND3, "TRAJECTORY_TRACE_TOL", float(trace[:base + i].max()),
+                      f"unit trace (residue {trace[base + i]:.3e})", time))
+        for rho0, name, tol, lost, time in cases:
+            with mock.patch(f"zenosim.dynamics.{name}", tol):
                 for run in (integrate_lindblad, final_state):
                     with pytest.raises(IntegrationError) as err:
-                        run(cfg, GROUND3)
-                    assert (err.value.message, err.value.time) == (lost, time)
+                        run(cfg, rho0)
+                    assert (err.value.message, err.value.time) == (f"state lost {lost}", time)
 
     def test_final_state_makes_no_times(self):
         ion = IonConfig(1.0, 0.1, 4)
@@ -741,8 +883,8 @@ class TestChunkedEngine:
             final_state(cfg, GROUND3)
 
 
-class TestGatheredGate:
-    """The gate on its gathered (12, b) entries against the formulas it replaced."""
+class TestGate:
+    """The real gate on coordinate rows, and rho0's complex checks, against the formulas they replaced."""
 
     @staticmethod
     def probes(rng) -> dict[str, list[np.ndarray]]:
@@ -774,25 +916,38 @@ class TestGatheredGate:
 
         rng = np.random.default_rng(15)
         probes = self.probes(rng)
-        for name, states in probes.items():  # each alone, as a one-state chunk: rho0's
+        for name, states in probes.items():  # each alone as rho0, whose checks include Hermiticity
             seen = set()
             for probe in states:
                 want = reference_gate(GATE_CFG, 0, probe.reshape(1, 9))
-                assert gate_outcome(GATE_CFG, 0, probe.reshape(1, 9)) == want, want
+                assert rho0_outcome(probe) == want, want
                 seen.add(check(want))
             if name != "far":  # the probes straddle the tolerance
                 assert seen == {None, f"state lost {name}"}
-        pool = [probe for states in probes.values() for probe in states]
+        # In chunks, the Hermitian parts of the finite probes as coordinates.
+        pool = [to_x(probe)[0] for states in probes.values() for probe in states
+                if np.isfinite(probe).all()]
         seen = set()
         for size in [1] * 40 + [2, 9, 37, 63, 64, 65, 300, _CHUNK - 1, _CHUNK] * 12:
-            rows = np.array([density(rng, int(rng.integers(1, 4))) for _ in range(size)])
+            rows = to_x([density(rng, int(rng.integers(1, 4))) for _ in range(size)])
             for at in rng.choice(size, size=min(size, int(rng.integers(0, 4))), replace=False):
                 rows[at] = pool[rng.integers(len(pool))]
-            rows = rows.reshape(-1, 9)
-            want = reference_gate(GATE_CFG, 1, rows)
+            want = reference_gate(GATE_CFG, 1, from_x(rows))
             assert gate_outcome(GATE_CFG, 1, rows) == want, want
             seen.add(check(want))
-        assert seen == {None, "state lost Hermiticity", "state lost unit trace", "state lost positivity"}
+        assert seen == {None, "state lost unit trace", "state lost positivity"}
+
+    def test_non_finite_coordinates_fail(self):
+        # A state that overflowed in the steps fails trace if a population is
+        # not finite, else positivity, at its own time.
+        for k, value in itertools.product(range(9), (np.nan, np.inf, -np.inf)):
+            rows = to_x([GROUND3] * 5)
+            rows[3, k] = value
+            if k < 3:
+                lost = f"unit trace (residue {abs(value):.3e})"
+            else:
+                lost = "positivity (min eig nan)"
+            assert gate_outcome(GATE_CFG, 0, rows) == (f"state lost {lost}", 0.03), (k, value)
 
     def test_residue_is_hermiticity_residue(self):
         # A tolerance patched to a state's hermiticity_residue passes its
@@ -817,11 +972,11 @@ class TestGatheredGate:
             kinds.add("nan" if math.isnan(residue) else "inf" if math.isinf(residue) else "finite")
             if not math.isnan(residue):
                 with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", residue):
-                    outcome = gate_outcome(GATE_CFG, 0, rho.reshape(1, 9))
+                    outcome = rho0_outcome(rho)
                 assert outcome is None or not outcome[0].startswith("state lost Hermiticity")
             below = math.nan if math.isnan(residue) else math.nextafter(residue, -math.inf)
             with mock.patch("zenosim.dynamics.TRAJECTORY_HERMITICITY_TOL", below):
-                assert gate_outcome(GATE_CFG, 0, rho.reshape(1, 9)) == lost
+                assert rho0_outcome(rho) == lost
         assert kinds == {"nan", "inf", "finite"}
 
 

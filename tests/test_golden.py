@@ -10,7 +10,8 @@ states of a few rows, and the count, times and states of two whole
 trajectories (times and states as SHA-256 of their little-endian bytes).
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when a
-change to the numbers or messages is intended.
+change to the numbers or messages is intended.  It prints each file it
+rewrites, whether its bytes changed, and the largest change of a number in it.
 """
 
 import hashlib
@@ -120,6 +121,23 @@ def _engine_reference() -> dict:
     return ref
 
 
+#: A decimal number standing alone, not a run of digits inside a hex digest or a word.
+_NUMBER = re.compile(rb"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write a golden file and print whether its bytes changed and its numbers' largest drift."""
+    old = path.read_bytes() if path.exists() else None
+    path.write_bytes(data)
+    if old == data:
+        print(f"{path.name}: unchanged")
+        return
+    before, after = ([float(n) for n in _NUMBER.findall(text)] for text in (old or b"", data))
+    drift = (f"largest numerical drift {max(map(abs, np.subtract(after, before)), default=0.0):.3g}"
+             if old is not None and len(before) == len(after) else "numbers not comparable")
+    print(f"{path.name}: changed, {drift}")
+
+
 def _mask_timestamp(text: bytes) -> bytes:
     return re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": "<masked>"', text)
 
@@ -185,9 +203,9 @@ if __name__ == "__main__":
         for name, runs in TABLES.items():
             for command, fmt in runs:
                 golden = _table(DATA / f"{name}.cfg", command, fmt, work / "out")
-                (DATA / f"{name}.{command}.{fmt}").write_bytes(golden)
+                _rewrite(DATA / f"{name}.{command}.{fmt}", golden)
         cases = json.dumps(_outcomes(work), indent=2) + "\n"
-        (DATA / "config_cases.json").write_text(cases, encoding="utf-8")
+        _rewrite(DATA / "config_cases.json", cases.encode("utf-8"))
     engine = json.dumps(_engine_reference(), indent=2) + "\n"
-    (DATA / "engine_reference.json").write_text(engine, encoding="utf-8")
+    _rewrite(DATA / "engine_reference.json", engine.encode("utf-8"))
     sys.exit(0)
