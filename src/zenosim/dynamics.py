@@ -76,9 +76,9 @@ class IonConfig:
     n_pulses: int
 
     def __post_init__(self):
-        check_positive(self.omega, "ion.omega")
-        check_positive(self.tau_sp, "ion.tau_sp")
-        object.__setattr__(self, "n_pulses", check_count(self.n_pulses, "ion.n_pulses"))
+        checks = {"omega": check_positive, "tau_sp": check_positive, "n_pulses": check_count}
+        for name, check in checks.items():
+            object.__setattr__(self, name, check(getattr(self, name), f"ion.{name}"))
 
     @property
     def t_pi(self) -> float:
@@ -92,13 +92,22 @@ class ScheduleParams:
 
     Pulses last ``pulse_duration_fraction`` of the measurement spacing and
     carry ``pulse_area`` on the optical transition (pi by default).  These
-    defaults are also those of :meth:`PulseSchedule.equispaced`.
+    defaults are also those of :meth:`PulseSchedule.equispaced`, which checks
+    them as this class does: each value, ``integrator_step`` if given, is
+    stored as the float its check returns, under its ``schedule.*`` name.
     """
 
     pulse_duration_fraction: float = 0.025
     pulse_area: float = math.pi
     rf_during_pulse: bool = True
     integrator_step: float | None = None
+
+    def __post_init__(self):
+        checks = {"pulse_duration_fraction": check_fraction, "pulse_area": check_positive}
+        if self.integrator_step is not None:
+            checks["integrator_step"] = check_positive
+        for name, check in checks.items():
+            object.__setattr__(self, name, check(getattr(self, name), f"schedule.{name}"))
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ class PulseSchedule:
     transition ending at t_pi * (k / n), so the last ends exactly when the
     drive pulse does; build one with :meth:`equispaced`.  ``rf_during_pulse``
     keeps the two-level drive on inside the windows (the default) or gates
-    it off.
+    it off; it must equal True or False, and is stored as a bool.
     """
 
     optical_pulse_duration: float
@@ -118,7 +127,11 @@ class PulseSchedule:
 
     def __post_init__(self):
         for name in ("optical_pulse_duration", "optical_rabi"):
-            check_positive(getattr(self, name), f"schedule.{name}")
+            object.__setattr__(self, name, check_positive(getattr(self, name), f"schedule.{name}"))
+        if self.rf_during_pulse not in (True, False):  # a numpy.bool_ compares equal and passes
+            raise ConfigError(f"must be True or False, got {self.rf_during_pulse!r}",
+                              field="schedule.rf_during_pulse")
+        object.__setattr__(self, "rf_during_pulse", bool(self.rf_during_pulse))
 
     @classmethod
     def equispaced(
@@ -137,8 +150,8 @@ class PulseSchedule:
         overdamping suppresses the optical transfer and weakens the
         measurement itself.
         """
-        check_fraction(duration_fraction, "schedule.pulse_duration_fraction")
-        check_positive(pulse_area, "schedule.pulse_area")
+        duration_fraction = check_fraction(duration_fraction, "schedule.pulse_duration_fraction")
+        pulse_area = check_positive(pulse_area, "schedule.pulse_area")
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         rabi = pulse_area / duration if duration else math.inf
         if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
@@ -174,14 +187,14 @@ class LindbladConfig:
                     field="schedule.optical_pulse_duration",
                 )
             segments = 2 * self.ion.n_pulses  # at most a gap and a pulse per measurement
-        bound, key = self.max_step(), "schedule.integrator_step"  # the config file's key
-        if self.integrator_step is None:
-            object.__setattr__(self, "integrator_step", bound)
-            key = None
-        elif not check_positive(self.integrator_step, key) <= bound * (1 + 1e-12):
+        bound, key, step = self.max_step(), "schedule.integrator_step", self.integrator_step
+        if step is None:
+            step, key = bound, None  # a refusal names the config file's key for a given step only
+        elif not (step := check_positive(step, key)) <= bound * (1 + 1e-12):
             raise ConfigError(f"must be in (0, {bound:.6g}] to resolve the fastest timescale", key)
+        object.__setattr__(self, "integrator_step", step)
         # Each segment takes at least one step, so this bounds the steps run; inf if bound is 0.
-        steps = self.ion.t_pi / self.integrator_step + segments if bound else math.inf
+        steps = self.ion.t_pi / step + segments if bound else math.inf
         if not steps <= MAX_STEPS:
             cause = "" if key else (f" with the default step {bound:.3g}, 1/{_STEP_MARGIN} of the"
                                     " shortest of 1/omega, tau_sp and 1/(optical Rabi frequency)")

@@ -46,18 +46,18 @@ def check_count(n, field: str = "n") -> int:
     return value
 
 
-def check_positive(value, field: str):
-    """``value`` unchanged if a real, not ``bool``, and > 0 as a finite float; else ConfigError."""
+def check_positive(value, field: str) -> float:
+    """``float(value)``, a Python float, if ``value`` is a real, not ``bool``, finite and > 0."""
     with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range
-        if type(value) is not bool and isinstance(value, Real) and 0 < float(value) < math.inf:
-            return value
+        if type(value) is not bool and isinstance(value, Real) and 0 < (number := float(value)) < math.inf:
+            return number
     raise ConfigError(f"must be finite and > 0, got {value!r}", field=field)
 
 
-def check_fraction(value, field: str):
-    """``value`` unchanged if it passes :func:`check_positive` and is < 1; else ConfigError."""
-    if check_positive(value, field) < 1:
-        return value
+def check_fraction(value, field: str) -> float:
+    """The float :func:`check_positive` returns for ``value`` if it is < 1; else ConfigError."""
+    if (number := check_positive(value, field)) < 1:
+        return number
     raise ConfigError("must be < 1", field=field)
 
 

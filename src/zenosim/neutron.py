@@ -32,7 +32,7 @@ class NeutronConfig:
 
     def __post_init__(self):
         for given in (f.name for f in fields(self) if getattr(self, f.name) is not None):
-            check_positive(getattr(self, given), f"neutron.{given}")
+            object.__setattr__(self, given, check_positive(getattr(self, given), f"neutron.{given}"))
         # energy -> (the raw inputs whose product it is, how to name them)
         raw_inputs = {
             "delta_e_m": ((2.0, self.mu, self.b_field), "mu and b_field"),
@@ -75,10 +75,10 @@ def p_up_limited(n: int, phi0: float) -> float:
     sticks at phi0 and the survival decays like exp(-phi0^2 n).  ``phi0`` is
     a parameter under :func:`check_positive`'s rule, and must be < pi/2.
     """
-    n = check_count(n)
-    if not check_positive(phi0, "phi0") < math.pi / 2.0:
+    n, angle = check_count(n), check_positive(phi0, "phi0")
+    if not angle < math.pi / 2.0:
         raise ConfigError(f"must be < pi/2, got {phi0!r}", field="phi0")
-    return _p_up(n, phi0)
+    return _p_up(n, angle)
 
 
 def neutron_n_max(cfg: NeutronConfig) -> int:

@@ -82,8 +82,8 @@ def lindblad_p2(setup: LindbladConfig) -> float:
 
 def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     """Tabulate the ion closed forms (and optionally the full model) over n."""
-    omega, tau_sp = cfg.require_ion()
-    n_list = cfg.require_n_list()
+    (omega, tau_sp), n_list = cfg.require_ion(), cfg.require_n_list()
+    table = IonConfig(omega, tau_sp, 1)  # the checked floats every row and the echo read
     params = cfg.schedule
     setups = [None] * len(n_list)
     if cfg.lindblad:  # every row is built, and so checked, before the bound or any integration
@@ -95,9 +95,9 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
                 ),
                 integrator_step=params.integrator_step,
             )
-            for ion in (IonConfig(omega, tau_sp, n) for n in n_list)
+            for ion in (IonConfig(table.omega, table.tau_sp, n) for n in n_list)
         ]
-    bound, floor = n_max(IonConfig(omega, tau_sp, 1)), omega * tau_sp  # IonConfig checks both
+    bound, floor = n_max(table), table.omega * table.tau_sp
     rows = [  # require_n_list checked each count, so the rows call the closed forms' kernels
         SweepRow(
             n=n,
@@ -112,8 +112,8 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     schedule = dict(vars(params))
     step = schedule.pop("integrator_step")  # reported as metadata.integrator_step
     config = {
-        "omega": omega,
-        "tau_sp": tau_sp,
+        "omega": table.omega,
+        "tau_sp": table.tau_sp,
         "n_list": list(n_list),
         "lindblad": cfg.lindblad,
         **schedule,

@@ -610,19 +610,28 @@ class TestIntegrateLindblad:
             traj[0][1][0, 0] = 1.0
 
 
+@pytest.fixture(
+    scope="module",
+    params=list(itertools.product((1, 2, 4), (5, 20, 100), (0.025, 0.05), (True, False))),
+    ids=lambda case: "-".join(map(str, case)),
+)
+def engine_case(request):
+    """(n, lifetime ratio, fraction, rf_during_pulse): its config and trajectory, integrated once.
+
+    A module-scoped parameter: pytest runs every test of one grid point in a row, so each
+    trajectory is integrated once and dropped before the next.
+    """
+    n, lifetime_ratio, fraction, rf_during_pulse = request.param
+    ion = IonConfig(1.0, (math.pi / n) / lifetime_ratio, n)
+    sched = PulseSchedule.equispaced(ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse)
+    cfg = LindbladConfig(ion, sched)
+    return cfg, integrate_lindblad(cfg, GROUND3)
+
+
 class TestEngineMatchesReferenceLoop:
-    @pytest.mark.parametrize(
-        "n, lifetime_ratio, fraction, rf_during_pulse",
-        list(itertools.product((1, 2, 4), (5, 20, 100), (0.025, 0.05), (True, False))),
-    )
-    def test_every_state(self, n, lifetime_ratio, fraction, rf_during_pulse):
-        ion = IonConfig(1.0, (math.pi / n) / lifetime_ratio, n)
-        sched = PulseSchedule.equispaced(
-            ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
-        )
-        cfg = LindbladConfig(ion, sched)
+    def test_every_state(self, engine_case):
+        cfg, traj = engine_case
         want_times, want = reference_rk4(cfg, GROUND3)
-        traj = integrate_lindblad(cfg, GROUND3)
         assert [t for t, _ in traj] == want_times
         got = np.array([rho for _, rho in traj])
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -630,17 +639,9 @@ class TestEngineMatchesReferenceLoop:
 
 
 class TestHermitianByConstruction:
-    @pytest.mark.parametrize(
-        "n, lifetime_ratio, fraction, rf_during_pulse",
-        list(itertools.product((1, 2, 4), (5, 20, 100), (0.025, 0.05), (True, False))),
-    )
-    def test_every_state_exactly_hermitian(self, n, lifetime_ratio, fraction, rf_during_pulse):
-        # TestEngineMatchesReferenceLoop's grid: no state needs a Hermiticity check.
-        ion = IonConfig(1.0, (math.pi / n) / lifetime_ratio, n)
-        sched = PulseSchedule.equispaced(
-            ion, duration_fraction=fraction, rf_during_pulse=rf_during_pulse
-        )
-        traj = integrate_lindblad(LindbladConfig(ion, sched), GROUND3)
+    def test_every_state_exactly_hermitian(self, engine_case):
+        # No state needs a Hermiticity check: each is exactly Hermitian.
+        _, traj = engine_case
         assert (hermiticity_residue(np.array([rho for _, rho in traj])) == 0.0).all()
 
 

@@ -1,10 +1,10 @@
 """Property tests: the oracle, the integer bounds, the pulse segments, the JSON round trip and
-the rule for a physical parameter."""
+the rule for a physical parameter, which stores every accepted value as a Python float."""
 
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,15 +16,18 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zenosim import (  # noqa: E402
+    BoundViolationError,
     ConfigError,
     IonConfig,
     LindbladConfig,
     NeutronConfig,
     PulseSchedule,
     RunConfig,
+    ScheduleParams,
     SweepResult,
     SweepRow,
     emit,
+    lindblad_p2,
     load_result,
     n_max,
     neutron_n_max,
@@ -33,6 +36,7 @@ from zenosim import (  # noqa: E402
     p_up_ideal,
     p_up_limited,
     run_ion_sweep,
+    run_neutron_sweep,
     simulate_projective_sequence,
 )
 from zenosim.dynamics import _segments  # noqa: E402
@@ -187,6 +191,27 @@ def refusal(call, *args) -> tuple[str, str] | None:
     return None
 
 
+def float_leaves(built) -> list:
+    """The values of ``built``'s float fields, through nested configs; ``built`` if a number."""
+    if not is_dataclass(built):
+        return [built]
+    leaves = []
+    for f in fields(built):
+        value = getattr(built, f.name)
+        if is_dataclass(value):
+            leaves += float_leaves(value)
+        elif value is not None and f.type not in (int, bool):
+            leaves.append(value)
+    return leaves
+
+
+def assert_stored_as_float(call, value):
+    """``call(value)`` builds what ``call(float(value))`` builds, holding only Python floats."""
+    built = call(value)
+    assert built == call(float(value))
+    assert {type(leaf) for leaf in float_leaves(built)} == {float}
+
+
 @pytest.mark.parametrize("field", sorted(LIBRARY))
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1", Decimal("1")], ids=repr)
 def test_non_real_parameter_refused(field, value):
@@ -195,9 +220,12 @@ def test_non_real_parameter_refused(field, value):
 
 
 @pytest.mark.parametrize("field", sorted(LIBRARY.keys() - BOUNDED))
-@pytest.mark.parametrize("value", [np.float64(0.001), 1, Fraction(1, 1000)], ids=repr)
+@pytest.mark.parametrize(
+    "value", [np.float64(0.001), 1, Fraction(1, 1000), np.float32(0.001)], ids=repr
+)
 def test_real_parameter_accepted(field, value):
     assert refusal(LIBRARY[field], value) is None
+    assert_stored_as_float(LIBRARY[field], value)
 
 
 @pytest.mark.parametrize("field", sorted(BOUNDED))
@@ -205,8 +233,9 @@ def test_bounded_parameter_refused_at_its_bound(field):
     bound, message = BOUNDED[field]
     assert refusal(LIBRARY[field], bound) == (field, message)
     assert refusal(LIBRARY[field], 2 * bound)[1].startswith(f"{field}: must be < ")
-    for value in [np.float64(0.001), Fraction(1, 1000), math.nextafter(bound, 0)]:
+    for value in [np.float64(0.001), Fraction(1, 1000), math.nextafter(bound, 0), np.float32(0.001)]:
         assert refusal(LIBRARY[field], value) is None
+        assert_stored_as_float(LIBRARY[field], value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,3 +253,76 @@ def test_library_refuses_what_a_config_file_refuses(tmp_path_factory, field, val
         assert in_library == in_file
     else:  # the library may refuse for another reason, such as a Rabi frequency that underflows
         assert in_library is None or "must be finite and > 0" not in in_library[1]
+
+
+def test_float32_parameters_give_the_float_bound():
+    # pi / 0.31415927410125732 = 9.99999976..., floored to 9; float32 arithmetic rounds it to 10.
+    assert n_max(IonConfig(np.float32(1.0), np.float32(math.pi / 10), 1)) == 9
+
+
+def test_float32_fraction_integrates_in_float64():
+    ion = IonConfig(1.0, (math.pi / 4) / 20, 4)
+    got, want = (
+        lindblad_p2(LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=fraction)))
+        for fraction in (np.float32(0.05), float(np.float32(0.05)))
+    )
+    assert got == want
+
+
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: n_max(IonConfig(np.float64(1e200), np.float64(1e200), 1)), BoundViolationError, None),
+    (lambda: PulseSchedule.equispaced(IonConfig(1.0, 0.1, 4), 1e-10, np.float64(1e307)),
+     ConfigError, "schedule.pulse_area"),
+], ids=["n_max", "pulse_area"])
+def test_numpy_overflow_refused_as_python_float_overflow(call, error, field):
+    # Under filterwarnings = error a numpy overflow warning would surface instead.
+    with pytest.raises(error) as caught:
+        call()
+    assert getattr(caught.value, "field", None) == field
+
+
+def emitted_config(result) -> dict:
+    buffer = io.StringIO()
+    emit(result, format="json", destination=buffer)
+    return json.loads(buffer.getvalue())["metadata"]["config"]
+
+
+@pytest.mark.parametrize("omega", [np.int64(1), Fraction(1), np.float32(1.0)], ids=repr)
+def test_json_echo_of_any_real_ion_parameter(omega):
+    config = emitted_config(run_ion_sweep(RunConfig(ion_omega=omega, ion_tau_sp=0.1, n_list=(2,))))
+    assert config["omega"] == 1.0 and config["tau_sp"] == 0.1
+
+
+def test_json_echo_of_any_real_neutron_parameter():
+    neutron = NeutronConfig(delta_e_m=Fraction(2, 5), delta_e_k=1.0)
+    config = emitted_config(run_neutron_sweep(RunConfig(neutron=neutron, n_list=(2,))))
+    assert config["delta_e_m"] == 0.4 and config["phi0"] == 0.1
+
+
+def test_schedule_params_refused_without_lindblad():
+    # Without the full model no PulseSchedule is built, so the echo held the value unchecked.
+    message = "schedule.pulse_area: must be finite and > 0, got -1.0"
+    assert refusal(ScheduleParams, 0.025, -1.0) == ("schedule.pulse_area", message)
+
+
+def test_schedule_params_stored_as_floats_for_the_json_echo():
+    schedule = ScheduleParams(Fraction(1, 40), Fraction(3), integrator_step=np.float32(0.001))
+    assert float_leaves(schedule) == [0.025, 3.0, float(np.float32(0.001))]
+    assert {type(leaf) for leaf in float_leaves(schedule)} == {float}
+    run = RunConfig(ion_omega=1.0, ion_tau_sp=0.1, n_list=(2,), lindblad=True,
+                    schedule=ScheduleParams(pulse_area=Fraction(3)))
+    assert emitted_config(run_ion_sweep(run))["pulse_area"] == 3.0
+
+
+@pytest.mark.parametrize("value", ["false", None, 0.5, "True"], ids=repr)
+def test_non_boolean_rf_during_pulse_refused(value):
+    message = f"schedule.rf_during_pulse: must be True or False, got {value!r}"
+    assert refusal(PulseSchedule.equispaced, SLOW_ION, 0.025, math.pi, value) == (
+        "schedule.rf_during_pulse", message
+    )
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False), 1, 0], ids=repr)
+def test_boolean_rf_during_pulse_stored_as_bool(value):
+    stored = PulseSchedule.equispaced(SLOW_ION, rf_during_pulse=value).rf_during_pulse
+    assert stored is bool(value)
