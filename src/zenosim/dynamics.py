@@ -35,16 +35,17 @@ construction: rho0 alone is checked for Hermiticity.  One rule gives every
 state's time.
 """
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
 from .errors import check_count, check_fraction, check_positive
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
 from .states import BlochVector, as_density, hermiticity_residue, np, validate_density
+from .states import _float_bloch, _real_floats
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
@@ -59,6 +60,14 @@ _BLOCK = 64
 _CHUNK = 8 * _BLOCK
 #: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
 _I, _J = [0, 0, 1], [1, 2, 2]
+
+
+def _check_flag(value, field: str) -> bool:
+    """``bool(value)`` if ``value`` is hashable and equals True or False (a numpy.bool_ does)."""
+    with contextlib.suppress(TypeError, ValueError):  # an array is unhashable: no elementwise ==
+        if value in {True, False}:
+            return bool(value)
+    raise ConfigError(f"must be True or False, got {value!r}", field=field)
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,8 @@ class ScheduleParams:
     integrator_step: float | None = None
 
     def __post_init__(self):
-        checks = {"pulse_duration_fraction": check_fraction, "pulse_area": check_positive}
+        checks = {"pulse_duration_fraction": check_fraction, "pulse_area": check_positive,
+                  "rf_during_pulse": _check_flag}
         if self.integrator_step is not None:
             checks["integrator_step"] = check_positive
         for name, check in checks.items():
@@ -128,10 +138,8 @@ class PulseSchedule:
     def __post_init__(self):
         for name in ("optical_pulse_duration", "optical_rabi"):
             object.__setattr__(self, name, check_positive(getattr(self, name), f"schedule.{name}"))
-        if self.rf_during_pulse not in (True, False):  # a numpy.bool_ compares equal and passes
-            raise ConfigError(f"must be True or False, got {self.rf_during_pulse!r}",
-                              field="schedule.rf_during_pulse")
-        object.__setattr__(self, "rf_during_pulse", bool(self.rf_during_pulse))
+        flag = _check_flag(self.rf_during_pulse, "schedule.rf_during_pulse")
+        object.__setattr__(self, "rf_during_pulse", flag)
 
     @classmethod
     def equispaced(
@@ -217,21 +225,20 @@ class LindbladConfig:
 def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
     """Rotate ``r0`` about the first axis for a time ``dt`` at frequency ``omega``.
 
-    Solves dR/dt = (omega, 0, 0) x R exactly; the norm is preserved.
+    Solves dR/dt = (omega, 0, 0) x R exactly; the norm is preserved.  ``omega``,
+    ``dt`` and each component are read as Python floats, and floats are returned.
 
     Raises
     ------
     ValueError
-        If ``omega`` or ``dt`` is a ``bool`` or not a real number, ``dt`` is
-        negative or NaN, or the angle ``omega * dt`` is not finite.
+        If ``omega``, ``dt`` or a component is a ``bool``, not a real number or
+        past the float range, ``dt`` is negative or NaN, or the angle
+        ``omega * dt`` is not finite.
     """
-    reals = (float, int, Real)  # float and int first: the ABC check alone takes ~0.7 us
-    real = (
-        bool not in (type(omega), type(dt)) and isinstance(omega, reals) and isinstance(dt, reals)
-    )
-    if not (real and dt >= 0 and abs(angle := omega * dt) < math.inf):  # NaN fails both
+    reals = _real_floats((omega, dt))
+    if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
         raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
-    r0 = BlochVector(*r0)
+    r0 = _float_bloch(r0)
     c, s = math.cos(angle), math.sin(angle)
     return BlochVector(r0.r1, r0.r2 * c - r0.r3 * s, r0.r2 * s + r0.r3 * c)
 

@@ -8,8 +8,12 @@ Bloch vector (r1, r2, r3) with
     r3 = rho_22 - rho_11,
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
+The Bloch helpers compute in Python floats whatever real type a caller passes.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
+The per-state checks run once per stored state or oracle step, so each keeps
+its numpy calls few; their values, decisions and messages are the array
+formulas' own.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
@@ -22,9 +26,11 @@ not safe against two threads making the first access at once: a threaded
 program should import numpy before it starts its threads.
 """
 
+import contextlib
 import importlib.util
 import math
 import sys
+from numbers import Real
 from typing import NamedTuple
 
 from .errors import InvalidStateError, NonphysicalStateError
@@ -48,6 +54,8 @@ np = _lazy_numpy()
 
 #: Max allowed |rho - rho^dagger| entry for a state accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
+#: A 2x2 state whose scalar residue bound is below this is Hermitian whatever numpy's abs rounds.
+_CLEARLY_HERMITIAN = HERMITICITY_TOL - 4 * math.ulp(HERMITICITY_TOL)
 #: Max allowed excess of a Bloch vector norm over 1.
 BLOCH_NORM_TOL = 1e-10
 #: Agreement required of the density <-> Bloch round trip, per component.
@@ -69,6 +77,26 @@ class BlochVector(NamedTuple):
 
     def norm(self) -> float:
         return math.hypot(self.r1, self.r2, self.r3)
+
+
+def _real_floats(values) -> "tuple[float, ...] | None":
+    """Tuple ``values`` as Python floats, or None unless each is a real number, not a bool, in float range."""
+    for value in values:  # a loop, not all(): the oracle's all-float case takes no generator
+        if type(value) is not float:
+            break
+    else:
+        return values
+    with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range
+        if all(type(value) is not bool and isinstance(value, Real) for value in values):
+            return tuple(map(float, values))
+    return None
+
+
+def _float_bloch(r) -> BlochVector:
+    """``r`` as a BlochVector of Python floats; ValueError unless :func:`_real_floats` reads it."""
+    if (parts := _real_floats(r := tuple(r))) is None:
+        raise ValueError(f"Bloch vector components must be real numbers, not bool, got {r!r}")
+    return BlochVector(*parts)
 
 
 class Diagnostics(NamedTuple):
@@ -123,6 +151,9 @@ def validate_density(rho) -> Diagnostics:
         ``hermiticity_residue`` is max |rho - rho^dagger| entrywise,
         ``trace_residue`` is |tr(rho) - 1|, and ``min_eigenvalue`` is the
         smallest eigenvalue of the Hermitian part of ``rho``.
+
+    One error-state block forms the adjoint once for the residue (the bits of
+    :func:`hermiticity_residue`) and the Hermitian part.
     """
     rho = as_density(rho)
     # Python complex sums, left to right as numpy's: inf - inf or 1e308 + 1e308 does not warn.
@@ -134,12 +165,19 @@ def validate_density(rho) -> Diagnostics:
     except OverflowError:  # finite parts whose modulus exceeds the float range
         trace = math.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        sym = 0.5 * (rho + rho.conj().T)
-    return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
+        adjoint = rho.conj().T
+        residue = np.abs(rho - adjoint).max()
+        sym = 0.5 * (rho + adjoint)
+    return Diagnostics(float(residue), trace, min_eigenvalue(sym))
 
 
 def bloch_from_density(rho) -> BlochVector:
     """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
+
+    A state is accepted on a bound of its residue read off the parts the map
+    drops if that is finite and a few ulps under ``HERMITICITY_TOL``.  Any
+    other is decided and worded by :func:`hermiticity_residue`, since numpy's
+    complex ``abs`` and ``math.hypot`` may round one entry an ulp apart.
 
     Raises
     ------
@@ -150,25 +188,31 @@ def bloch_from_density(rho) -> BlochVector:
     rho = as_density(rho)
     if rho.shape != (2, 2):
         raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    herm = float(hermiticity_residue(rho))
-    if not herm <= HERMITICITY_TOL:
-        raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
     (rho_11, rho_12), (rho_21, rho_22) = rho.tolist()
     r1, r2, r3 = rho_12 + rho_21, 1j * (rho_12 - rho_21), rho_22 - rho_11
-    # For a Hermitian input these are real up to rounding; the residue bound
-    # above already caps the imaginary parts.
+    # The imaginary parts dropped below are the residue's own: |rho_12 - conj rho_21| is
+    # |Im r1 + i Im r2|.  Their norm with the diagonal's bounds the residue from above.
+    diagonal = abs(rho_11 - rho_11.conjugate()), abs(rho_22 - rho_22.conjugate())
+    if not math.hypot(r1.imag, r2.imag, *diagonal) < _CLEARLY_HERMITIAN:  # NaN, inf or near the bound
+        herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
+        if not herm <= HERMITICITY_TOL:
+            raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
     return BlochVector(r1.real, r2.real, r3.real)
 
 
 def density_from_bloch(r: BlochVector) -> "np.ndarray":
     """Map a Bloch vector to the corresponding 2x2 density matrix.
 
+    Each component is read as a Python float.
+
     Raises
     ------
+    ValueError
+        If a component is a ``bool``, not a real number, or past the float range.
     NonphysicalStateError
         If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
     """
-    r = BlochVector(*r)
+    r = _float_bloch(r)
     if not r.norm() <= 1.0 + BLOCH_NORM_TOL:
         raise NonphysicalStateError(
             f"Bloch vector norm {r.norm():.12g} exceeds 1"

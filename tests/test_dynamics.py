@@ -310,6 +310,23 @@ class TestEvolveBloch:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evolve_bloch(BlochVector(0, 0, -1), omega, dt)
 
+    def test_float32_arguments_rotate_in_float64(self):
+        # omega * dt in float32 moved the vector by 9.2e-10.
+        r0 = BlochVector(0.1, 0.2, -0.3)
+        omega, dt = np.float32(0.7), np.float32(0.3)
+        assert evolve_bloch(r0, omega, dt) == evolve_bloch(r0, float(omega), float(dt))
+
+    def test_components_returned_as_python_floats(self):
+        r = evolve_bloch(BlochVector(*np.array([0.1, 0.2, -0.3], dtype=np.float32)), 1.0, 0.1)
+        assert {type(part) for part in r} == {float}
+
+    @pytest.mark.parametrize("r0", [("0.1", 0.0, 0.0), (True, 0.0, 0.0), (0.0, 1j, 0.0)], ids=repr)
+    def test_non_real_component_refused(self, r0):
+        # A str r1 came back unchecked.
+        message = f"Bloch vector components must be real numbers, not bool, got {r0!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evolve_bloch(BlochVector(*r0), 1.0, 0.1)
+
     def test_real_arguments_of_any_type_accepted(self):
         expected = evolve_bloch(BlochVector(0, 0, -1), 0.5, 2.0)
         for omega, dt in [(Fraction(1, 2), np.int64(2)), (np.float64(0.5), 2), (0.5, Fraction(2))]:

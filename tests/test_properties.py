@@ -314,7 +314,9 @@ def test_schedule_params_stored_as_floats_for_the_json_echo():
     assert emitted_config(run_ion_sweep(run))["pulse_area"] == 3.0
 
 
-@pytest.mark.parametrize("value", ["false", None, 0.5, "True"], ids=repr)
+# An array met an elementwise ``in`` and raised numpy's bare "truth value" ValueError.
+@pytest.mark.parametrize("value", ["false", None, 0.5, "True", np.array([True, False]),
+                                   np.array([True]), np.array(False)], ids=repr)
 def test_non_boolean_rf_during_pulse_refused(value):
     message = f"schedule.rf_during_pulse: must be True or False, got {value!r}"
     assert refusal(PulseSchedule.equispaced, SLOW_ION, 0.025, math.pi, value) == (
@@ -322,7 +324,15 @@ def test_non_boolean_rf_during_pulse_refused(value):
     )
 
 
+@pytest.mark.parametrize("value", ["false", None, np.array([True, False])], ids=repr)
+def test_schedule_params_rf_during_pulse_refused_without_lindblad(value):
+    # Without the full model no PulseSchedule is built, so the echo held "false" unchecked.
+    message = f"schedule.rf_during_pulse: must be True or False, got {value!r}"
+    assert refusal(ScheduleParams, 0.025, math.pi, value) == ("schedule.rf_during_pulse", message)
+
+
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False), 1, 0], ids=repr)
 def test_boolean_rf_during_pulse_stored_as_bool(value):
     stored = PulseSchedule.equispaced(SLOW_ION, rf_during_pulse=value).rf_during_pulse
     assert stored is bool(value)
+    assert ScheduleParams(rf_during_pulse=value).rf_during_pulse is bool(value)

@@ -1,6 +1,7 @@
 """Tests for the density-matrix values and the Bloch-vector map."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ import pytest
 from zenosim import (
     BlochVector,
     InvalidStateError,
+    IonConfig,
+    LindbladConfig,
     NonphysicalStateError,
+    PulseSchedule,
     apply_projection,
     bloch_from_density,
     density_from_bloch,
+    integrate_lindblad,
     validate_density,
 )
 from zenosim.states import (
@@ -101,6 +106,22 @@ class TestDensityFromBloch:
         # A sum of squares overflows: OverflowError on floats, a warning on np.float64.
         with pytest.raises(NonphysicalStateError, match="exceeds 1"):
             density_from_bloch(BlochVector(*map(kind, r)))
+
+    def test_float32_components_give_the_float_state(self):
+        # float32 arithmetic gave entries 2.98e-8 away from those of the same values as floats.
+        parts = np.float32(0.1), np.float32(0.2), np.float32(-0.3)
+        got = density_from_bloch(BlochVector(*parts))
+        assert got.tobytes() == density_from_bloch(BlochVector(*map(float, parts))).tobytes()
+
+    @pytest.mark.parametrize("r", [(True, False, False), ("0.1", 0.0, 0.0), (0.1j, 0.0, 0.0),
+                                   (0.0, None, 0.0),
+                                   pytest.param((2**1024, 0, 0), id="int past the float range")],
+                             ids=repr)
+    def test_non_real_component_refused(self, r):
+        # True read as r1 = 1, and a str failed with a bare TypeError.
+        message = f"Bloch vector components must be real numbers, not bool, got {r!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            density_from_bloch(BlochVector(*r))
 
     def test_norm_tolerance_edge_accepted(self):
         density_from_bloch(BlochVector(1.0 + BLOCH_NORM_TOL / 2, 0.0, 0.0))
@@ -274,6 +295,36 @@ def _bit_test_states():
     states += list(NON_FINITE_2X2.values())
     states += [np.diag([1.0, 0.0, np.nan]), np.diag([np.inf, 0.0, 0.0]), np.full((3, 3), np.nan)]
     states += [np.array([[0.5, 1e308], [-1e308, 0.5]]), np.diag([1e308, 1e308, -1e308])]
+    return states + _near_bound_states()
+
+
+def _near_bound_states():
+    """2x2 states whose numpy residue lies within 10 ulps of HERMITICITY_TOL, either side.
+
+    Off the diagonal the residue is numpy's |a + ib| for a = R cos t, b = R sin t (halving and
+    negating are exact); on it, |2 Im rho_ii| exactly.  The last three have equal residues on and
+    off the diagonal, each below the bound; for two of them their norm is above it.
+    """
+    rng = np.random.default_rng(24)
+    states = []
+    for k in range(-8, 9):
+        residue = HERMITICITY_TOL + k * math.ulp(HERMITICITY_TOL)
+        for angle in rng.uniform(0.0, 2 * math.pi, 80):
+            a, b = residue * math.cos(angle), residue * math.sin(angle)
+            states.append(np.array([[0.75, complex(a / 2, b / 2)], [complex(-a / 2, b / 2), 0.25]]))
+        states += [np.diag([complex(0.5, residue / 2), 0.5]), np.diag([0.5, complex(0.5, -residue / 2)])]
+    for scale in (0.5, 0.7, 0.99):
+        part = complex(0.5, scale * HERMITICITY_TOL / 2)
+        states.append(np.array([[part, scale * HERMITICITY_TOL], [0.0, part]]))
+    return states
+
+
+def _trajectory_states():
+    """The read-only 3x3 views that integrate_lindblad returns, as criterion 5 validates them."""
+    ion = IonConfig(1.0, math.pi / 10, 4)
+    cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05))
+    states = [rho for _, rho in integrate_lindblad(cfg, np.diag([1.0, 0.0, 0.0]))]
+    assert not any(rho.flags.writeable for rho in states)
     return states
 
 
@@ -283,7 +334,7 @@ class TestSameBitsAsArrayFormulas:
     STATES = _bit_test_states()
 
     def test_validate_density(self):
-        for rho in self.STATES:
+        for rho in self.STATES + _trajectory_states():
             got, want = validate_density(rho), _array_validate(rho)
             assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
 
@@ -292,13 +343,23 @@ class TestSameBitsAsArrayFormulas:
         for rho in (rho for rho in self.STATES if rho.shape == (2, 2)):
             want = _array_bloch(rho)
             if want is None:
-                with pytest.raises(InvalidStateError):
+                message = f"state is not Hermitian (residue {float(hermiticity_residue(rho)):.3e})"
+                with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
                     bloch_from_density(rho)
                 continue
             got = bloch_from_density(rho)
             assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
             accepted += 1
         assert accepted > 1000
+
+    def test_near_bound_states_cover_both_decisions_and_both_roundings(self):
+        near = _near_bound_states()
+        residues = [float(hermiticity_residue(rho)) for rho in near]
+        assert {r <= HERMITICITY_TOL for r in residues} == {True, False}
+        assert all(abs(r - HERMITICITY_TOL) <= 10 * math.ulp(HERMITICITY_TOL) for r in residues[:-3])
+        # numpy's complex abs and math.hypot round some residues differently
+        off_diagonal = [rho[0, 1] - rho[1, 0].conjugate() for rho in near]
+        assert any(abs(z) != math.hypot(z.real, z.imag) for z in off_diagonal)
 
     def test_apply_projection(self):
         for rho in self.STATES:
