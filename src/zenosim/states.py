@@ -13,7 +13,8 @@ Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 The per-state checks run once per stored state or oracle step, so each keeps
 its numpy calls few; their values, decisions and messages are the array
-formulas' own.
+formulas' own.  An exactly Hermitian state, as every integrated one is, is
+validated with one ``eigvalsh`` and no residue arithmetic.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
@@ -56,6 +57,8 @@ np = _lazy_numpy()
 HERMITICITY_TOL = 1e-12
 #: A 2x2 state whose scalar residue bound is below this is Hermitian whatever numpy's abs rounds.
 _CLEARLY_HERMITIAN = HERMITICITY_TOL - 4 * math.ulp(HERMITICITY_TOL)
+#: Real and imaginary parts below this cannot overflow in rho + rho^dagger.
+_SUM_SAFE = 2.0**1022
 #: Max allowed excess of a Bloch vector norm over 1.
 BLOCH_NORM_TOL = 1e-10
 #: Agreement required of the density <-> Bloch round trip, per component.
@@ -152,20 +155,32 @@ def validate_density(rho) -> Diagnostics:
         ``trace_residue`` is |tr(rho) - 1|, and ``min_eigenvalue`` is the
         smallest eigenvalue of the Hermitian part of ``rho``.
 
-    One error-state block forms the adjoint once for the residue (the bits of
-    :func:`hermiticity_residue`) and the Hermitian part.
+    A state equal entry by entry to the conjugate of its transpose (NaN never
+    is), every real and imaginary part below ``2**1022``, skips the residue
+    arithmetic: its residue is exact zeros, and no sum in its Hermitian part
+    can overflow, so that part goes to ``eigvalsh`` unchecked.  The states
+    ``integrate_lindblad`` returns are all such.  Any other state forms the adjoint once, in one
+    error-state block, for the residue (the bits of
+    :func:`hermiticity_residue`) and the Hermitian part.  Both ways the values
+    are the array formulas' own, bit for bit: the Hermitian part is formed, not
+    read off ``rho``, since the two can differ in the sign of a zero and
+    ``eigvalsh`` can round differently for it.
     """
     rho = as_density(rho)
+    rows = rho.tolist()
     # Python complex sums, left to right as numpy's: inf - inf or 1e308 + 1e308 does not warn.
     tr = 0j  # differs from starting at the first entry only in the sign of a zero
-    for entry in rho.diagonal().tolist():
-        tr += entry
+    for i, row in enumerate(rows):
+        tr += row[i]
     try:
         trace = abs(tr - 1.0)
     except OverflowError:  # finite parts whose modulus exceeds the float range
         trace = math.inf
+    adjoint = rho.conj().T
+    if rows == adjoint.tolist() and all(  # exactly Hermitian, and no sum of parts overflows
+            abs(z.real) < _SUM_SAFE > abs(z.imag) for row in rows for z in row):
+        return Diagnostics(0.0, trace, float(np.linalg.eigvalsh(0.5 * (rho + adjoint))[0]))
     with np.errstate(invalid="ignore", over="ignore"):
-        adjoint = rho.conj().T
         residue = np.abs(rho - adjoint).max()
         sym = 0.5 * (rho + adjoint)
     return Diagnostics(float(residue), trace, min_eigenvalue(sym))
@@ -217,10 +232,5 @@ def density_from_bloch(r: BlochVector) -> "np.ndarray":
         raise NonphysicalStateError(
             f"Bloch vector norm {r.norm():.12g} exceeds 1"
         )
-    return np.array(
-        [
-            [(1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0],
-            [(r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0],
-        ],
-        dtype=complex,
-    )
+    entries = (1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0, (r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0
+    return np.array(entries, dtype=complex).reshape(2, 2)  # flat: nested rows take longer to read

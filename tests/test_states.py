@@ -1,5 +1,6 @@
 """Tests for the density-matrix values and the Bloch-vector map."""
 
+import itertools
 import math
 import re
 
@@ -122,6 +123,16 @@ class TestDensityFromBloch:
         message = f"Bloch vector components must be real numbers, not bool, got {r!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             density_from_bloch(BlochVector(*r))
+
+    def test_same_bytes_as_nested_rows(self):
+        rng = np.random.default_rng(25)
+        vectors = [random_bloch(rng) for _ in range(200)]
+        vectors += list(itertools.product([0.0, -0.0, 0.5], repeat=3))  # signed zeros
+        for r in (BlochVector(*map(float, v)) for v in vectors):
+            want = np.array([[(1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0],
+                             [(r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0]], dtype=complex)
+            got = density_from_bloch(r)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), r
 
     def test_norm_tolerance_edge_accepted(self):
         density_from_bloch(BlochVector(1.0 + BLOCH_NORM_TOL / 2, 0.0, 0.0))
@@ -260,9 +271,10 @@ def _array_bloch(rho):
     rho = as_density(rho)
     if not float(hermiticity_residue(rho)) <= HERMITICITY_TOL:
         return None
-    r1 = rho[0, 1] + rho[1, 0]
-    r2 = 1j * (rho[0, 1] - rho[1, 0])
-    r3 = rho[1, 1] - rho[0, 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        r1 = rho[0, 1] + rho[1, 0]
+        r2 = 1j * (rho[0, 1] - rho[1, 0])
+        r3 = rho[1, 1] - rho[0, 0]
     return r1.real, r2.real, r3.real
 
 
@@ -295,7 +307,40 @@ def _bit_test_states():
     states += list(NON_FINITE_2X2.values())
     states += [np.diag([1.0, 0.0, np.nan]), np.diag([np.inf, 0.0, 0.0]), np.full((3, 3), np.nan)]
     states += [np.array([[0.5, 1e308], [-1e308, 0.5]]), np.diag([1e308, 1e308, -1e308])]
-    return states + _near_bound_states()
+    return states + _exactly_hermitian_states() + _near_bound_states()
+
+
+def _exactly_hermitian_states():
+    """States equal entry by entry to their adjoint: each zero part of either sign, and near overflow.
+
+    The seeded ones draw parts from {+-0, +-5e-324, +-0.25, +-1}, or normals with half the real
+    parts zeroed; each zero part, diagonal imaginary parts included, gets a random sign.  The edge
+    ones put one part, on or off the diagonal, at 2**1022, its predecessor, 8.98e307 (rho + rho^dagger
+    still finite) or 1e308 (it overflows); the last one's coherence has an overflowing modulus.
+    """
+    rng = np.random.default_rng(25)
+    states = []
+    for dim in (2, 3):
+        lower = np.tri(dim, k=-1, dtype=bool)
+        for draw in range(1500):
+            if draw % 10:
+                re, im = rng.choice([0.0, -0.0, 5e-324, -5e-324, 0.25, -0.25, 1.0, -1.0], size=(2, dim, dim))
+            else:
+                re, im = rng.normal(size=(2, dim, dim))
+                re[rng.random((dim, dim)) < 0.5] = -0.0
+            re, im = np.where(lower, re.T, re), np.where(lower, -im.T, im)
+            im[np.diag_indices(dim)] = 0.0
+            signed_zeros = np.copysign(0.0, rng.normal(size=(2, dim, dim)))
+            rho = np.where(re == 0, signed_zeros[0], re).astype(complex)
+            rho.imag = np.where(im == 0, signed_zeros[1], im)
+            states.append(rho)
+        for part in (2.0**1022, math.nextafter(2.0**1022, 0.0), 8.98e307, 1e308):
+            for big in (part, -part):
+                for i, j, z in (dim - 1, dim - 1, complex(big)), (0, 1, complex(0.25, big)), (0, 1, complex(big, 0.25)):
+                    rho = np.eye(dim, dtype=complex) / dim
+                    rho[i, j], rho[j, i] = z, z.conjugate()
+                    states.append(rho)
+    return states + [np.array([[0.5, complex(1.7e308, 1.7e308)], [complex(1.7e308, -1.7e308), 0.5]])]
 
 
 def _near_bound_states():
@@ -337,6 +382,25 @@ class TestSameBitsAsArrayFormulas:
         for rho in self.STATES + _trajectory_states():
             got, want = validate_density(rho), _array_validate(rho)
             assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
+
+    def test_exactly_hermitian_states_include_one_eigvalsh_rounds_apart_from_its_hermitian_part(self):
+        # forming the Hermitian part changes signs of zeros, and eigvalsh can read those
+        states = _exactly_hermitian_states()
+        assert all(rho.tolist() == rho.conj().T.tolist() for rho in states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert any(np.isfinite(rho + rho.conj().T).all()
+                       and np.linalg.eigvalsh(rho)[0] != np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+                       for rho in states)
+
+    def test_trajectory_states_skip_the_array_formulas(self, monkeypatch):
+        states = _trajectory_states()
+
+        def refuse(rho):
+            raise AssertionError("array path taken")
+
+        monkeypatch.setattr("zenosim.states.min_eigenvalue", refuse)
+        for rho in states:
+            validate_density(rho)
 
     def test_bloch_from_density(self):
         accepted = 0
