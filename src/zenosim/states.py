@@ -197,8 +197,9 @@ def bloch_from_density(rho) -> BlochVector:
     Raises
     ------
     InvalidStateError
-        If ``rho`` is not 2x2, has a non-finite entry, or deviates from
-        Hermiticity beyond ``HERMITICITY_TOL``.
+        If ``rho`` is not 2x2, has a non-finite entry, deviates from
+        Hermiticity beyond ``HERMITICITY_TOL``, or has finite entries whose
+        sums overflow to a non-finite Bloch vector.
     """
     rho = as_density(rho)
     if rho.shape != (2, 2):
@@ -212,7 +213,10 @@ def bloch_from_density(rho) -> BlochVector:
         herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
         if not herm <= HERMITICITY_TOL:
             raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-    return BlochVector(r1.real, r2.real, r3.real)
+    r1, r2, r3 = r1.real, r2.real, r3.real
+    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
+        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
+    return BlochVector(r1, r2, r3)
 
 
 def density_from_bloch(r: BlochVector) -> "np.ndarray":

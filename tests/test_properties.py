@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zenosim import (  # noqa: E402
@@ -21,6 +21,7 @@ from zenosim import (  # noqa: E402
     IonConfig,
     LindbladConfig,
     NeutronConfig,
+    NeutronRow,
     PulseSchedule,
     RunConfig,
     ScheduleParams,
@@ -148,6 +149,43 @@ def test_json_bytes_equal_indent_2(rows, metadata):
     emit(SweepResult(tuple(rows), metadata), format="json", destination=buffer)
     expected = {"metadata": metadata, "rows": [vars(row) for row in rows]}
     assert buffer.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+
+csv_values = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.floats() | st.floats().map(np.float64) | st.text()
+    | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+)
+
+
+def csv_cell(value) -> str:
+    """The CSV rule for one value: None empty, a str or int (bool too) as str(), else 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    return format(value, ".12g")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.sampled_from([SweepRow, NeutronRow]).flatmap(
+        lambda row_type: st.lists(
+            st.builds(row_type, *[csv_values] * len(fields(row_type))), min_size=1, max_size=5
+        )
+    )
+)
+@example(rows=[
+    SweepRow(None, True, np.int64(-7), np.float64(1 / 3), -0.0, 5e-324),
+    SweepRow(math.nan, math.inf, -math.inf, False, 2**70, "ill-defined"),
+])
+@example(rows=[NeutronRow(np.int64(12566), np.float64(-0.0), np.float64(math.nan), None)])
+def test_csv_cells_follow_the_value_rule(rows):
+    buffer = io.StringIO()
+    emit(SweepResult(tuple(rows), {}), format="csv", destination=buffer)
+    lines = [",".join(vars(rows[0]))]
+    lines += [",".join(csv_cell(value) for value in vars(row).values()) for row in rows]
+    assert buffer.getvalue() == "\n".join(lines) + "\n"
 
 
 NEUTRON_ENERGIES = {"delta_e_m": 0.4, "delta_e_k": 1.0}

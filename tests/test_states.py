@@ -77,6 +77,18 @@ class TestBlochFromDensity:
         with pytest.raises(InvalidStateError, match="not Hermitian"):
             bloch_from_density(rho)
 
+    @pytest.mark.parametrize(
+        "rho, vector",
+        [
+            ([[0.5, 1e308], [1e308, 0.5]], "r1=inf, r2=0.0, r3=0.0"),
+            ([[0.5, 1e308j], [-1e308j, 0.5]], "r1=0.0, r2=-inf, r3=0.0"),
+        ],
+    )
+    def test_overflowing_vector_rejected(self, rho, vector):
+        # finite and exactly Hermitian entries, whose sums r1 and r2 overflow
+        with pytest.raises(InvalidStateError, match=re.escape(f"not finite: BlochVector({vector})")):
+            bloch_from_density(rho)
+
     def test_fields_are_python_floats(self):
         rho = density_from_bloch(BlochVector(0.6, -0.3, 0.2))
         assert [type(x) for x in bloch_from_density(rho)] == [float] * 3
@@ -268,14 +280,18 @@ def _array_validate(rho):
 
 
 def _array_bloch(rho):
+    """The Bloch vector's parts, or the message that refuses the state."""
     rho = as_density(rho)
-    if not float(hermiticity_residue(rho)) <= HERMITICITY_TOL:
-        return None
+    if not (herm := float(hermiticity_residue(rho))) <= HERMITICITY_TOL:
+        return f"state is not Hermitian (residue {herm:.3e})"
     with np.errstate(invalid="ignore", over="ignore"):
         r1 = rho[0, 1] + rho[1, 0]
         r2 = 1j * (rho[0, 1] - rho[1, 0])
         r3 = rho[1, 1] - rho[0, 0]
-    return r1.real, r2.real, r3.real
+    parts = r1.real, r2.real, r3.real
+    if not np.isfinite(parts).all():
+        return f"Bloch vector is not finite: {BlochVector(*map(float, parts))}"
+    return parts
 
 
 def _array_projection(rho):
@@ -403,18 +419,18 @@ class TestSameBitsAsArrayFormulas:
             validate_density(rho)
 
     def test_bloch_from_density(self):
-        accepted = 0
+        accepted, overflowed = 0, 0
         for rho in (rho for rho in self.STATES if rho.shape == (2, 2)):
             want = _array_bloch(rho)
-            if want is None:
-                message = f"state is not Hermitian (residue {float(hermiticity_residue(rho)):.3e})"
-                with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            if isinstance(want, str):
+                with pytest.raises(InvalidStateError, match=f"^{re.escape(want)}$"):
                     bloch_from_density(rho)
+                overflowed += want.startswith("Bloch vector")
                 continue
             got = bloch_from_density(rho)
             assert all(_same_bits(g, w) for g, w in zip(got, want)), (rho, got, want)
             accepted += 1
-        assert accepted > 1000
+        assert accepted > 1000 and overflowed > 0
 
     def test_near_bound_states_cover_both_decisions_and_both_roundings(self):
         near = _near_bound_states()

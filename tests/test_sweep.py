@@ -11,12 +11,15 @@ import pytest
 from zenosim import (
     ConfigError,
     IonConfig,
+    LindbladConfig,
     NeutronConfig,
     NeutronRow,
+    PulseSchedule,
     RunConfig,
     SweepResult,
     SweepRow,
     emit,
+    lindblad_p2,
     load_result,
     p2_asymptotic,
     p2_closed_form,
@@ -107,6 +110,13 @@ class TestIonSweep:
         assert row.p2_lindblad is not None
         assert row.p2_lindblad == pytest.approx(row.p2_projection, abs=0.05)
 
+    def test_lindblad_values_are_python_floats(self):
+        # a float cell takes the CSV writer's one-test path; numpy's float64 would not
+        ion = IonConfig(1.0, (math.pi / 2) / 20, 2)
+        assert type(lindblad_p2(LindbladConfig(ion, PulseSchedule.equispaced(ion)))) is float
+        cfg = ion_config(n_list=(1, 2, 3), ion_tau_sp=(math.pi / 2) / 20, lindblad=True)
+        assert all(type(row.p2_lindblad) is float for row in run_ion_sweep(cfg).rows)
+
     def test_missing_ion_section(self):
         with pytest.raises(ConfigError):
             run_ion_sweep(RunConfig(n_list=(1,)))
@@ -167,6 +177,16 @@ def test_table_rows_make_no_count_check(monkeypatch):
     for closed_form in public:
         with pytest.raises(AssertionError, match="^count 4 checked again$"):
             closed_form(4)
+
+
+#: 500 counts around n_max = 12566, the ion bound at tau_sp = 2.5e-4 and the neutron one at phi0 = 1.25e-4.
+AROUND_N_MAX = tuple(range(12301, 12801))
+
+
+def around_n_max(result: SweepResult) -> tuple:
+    """The rows of a table over AROUND_N_MAX, which hold both regime flags."""
+    assert {row.regime_flag for row in result.rows} == {"valid", "ill-defined"}
+    return result.rows
 
 
 class TestEmit:
@@ -248,6 +268,12 @@ class TestEmit:
                 SweepRow(10**30, 1e300, -1e300, 2.2250738585072014e-308, -0.0, "ill-defined"),
             ),
             (NeutronRow(15, 0.848, 0.8475, "valid"), NeutronRow(2**64 + 1, 1.0, 0.0, "ill-defined")),
+            around_n_max(run_ion_sweep(ion_config(n_list=AROUND_N_MAX, ion_tau_sp=2.5e-4))),
+            around_n_max(run_neutron_sweep(neutron_config(phi0=1.25e-4, n_list=AROUND_N_MAX))),
+            (  # the row breaks' own text inside a string
+                SweepRow(3, 0.5, 0.25, 0.5, None, "},\n      { | }, { | {}"),
+                SweepRow(4, 0.5, 0.25, 0.5, None, "{}"),
+            ),
         ],
     )
     def test_json_bytes_equal_indent_2(self, rows):
