@@ -3,14 +3,14 @@
 The format is INI-style with sections ``[ion]``, ``[schedule]``,
 ``[neutron]``, ``[sweep]``, and ``[output]``.  Unknown sections or keys are
 rejected so a typo in a physics parameter cannot silently fall back to a
-default.
+default.  A list of counts is checked as a whole, by ``check_counts``.
 """
 
 import configparser
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ScheduleParams
-from .errors import ConfigError, check_count, check_fraction, check_positive
+from .errors import ConfigError, check_counts, check_fraction, check_positive
 from .neutron import NeutronConfig
 
 _FORMATS = ("csv", "json")
@@ -42,7 +42,7 @@ class RunConfig:
     def require_n_list(self) -> tuple[int, ...]:
         if self.n_list is None:
             raise ConfigError("n_list is required (config [sweep] or --n-list)", field="sweep.n_list")
-        return tuple(sorted({check_count(n, "sweep.n_list") for n in self.n_list}))
+        return tuple(sorted(set(check_counts(self.n_list, "sweep.n_list"))))
 
 
 def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]:
@@ -53,11 +53,11 @@ def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]
         if not part:
             continue
         try:
-            n = int(part)
+            values.append(int(part))
         except ValueError as exc:
+            check_counts(values, field_name)  # a bad count before this part is the earlier fault
             raise ConfigError(f"not an integer: {part!r}", field=field_name) from exc
-        values.append(check_count(n, field_name))
-    return tuple(sorted(set(values)))
+    return tuple(sorted(set(check_counts(values, field_name))))
 
 
 def _positive_float(raw: str, field_name: str) -> float:

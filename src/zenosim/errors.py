@@ -46,6 +46,14 @@ def check_count(n, field: str = "n") -> int:
     return value
 
 
+def check_counts(values, field: str = "n") -> list[int]:
+    """``[check_count(n, field) for n in values]``, in one pass when every value is an int in range."""
+    counts = list(values)
+    if not counts or ({*map(type, counts)} == {int} and min(counts) >= 1 and max(counts) <= _MAX_COUNT):
+        return counts
+    return [check_count(n, field) for n in counts]  # the first offender raises its own error
+
+
 def check_positive(value, field: str) -> float:
     """``float(value)``, a Python float, if ``value`` is a real, not ``bool``, finite and > 0."""
     with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range

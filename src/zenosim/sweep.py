@@ -5,6 +5,8 @@ three-level simulation) for each requested n; ``run_neutron_sweep`` does the
 same for the spin variant.  Rows with n beyond the admissible maximum are
 flagged ``ill-defined``: there the measurement level has no time to decay,
 so non-observation of its photons stops being a population measurement.
+Rows are frozen dataclasses set as records, a sweep's and :func:`load_result`'s
+alike: a dict in field order becomes a row's ``__dict__``, with no ``__init__``.
 
 Tables are emitted as CSV (fixed header, 12 significant digits, no
 metadata, byte-reproducible) or as JSON with a ``metadata``/``rows`` pair
@@ -48,6 +50,18 @@ class NeutronRow:
     p_up_ideal: float
     p_up_limited: float
     regime_flag: str
+
+
+#: Each row type's field names, in order: the keys of a dict that ``_record`` may take.
+_FIELDS = {row_type: list(row_type.__dataclass_fields__) for row_type in (SweepRow, NeutronRow)}
+
+
+def _record(row_type, values: dict):
+    """The ``row_type(**values)`` row, for ``values`` in field order, with ``values`` as its
+    ``__dict__`` and no ``__init__`` call; the row types have no ``__post_init__`` to skip."""
+    row = object.__new__(row_type)
+    object.__setattr__(row, "__dict__", values)
+    return row
 
 
 @dataclass(frozen=True)
@@ -101,14 +115,14 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         ]
     bound, floor = n_max(table), table.omega * table.tau_sp
     rows = [  # require_n_list checked each count, so the rows call the closed forms' kernels
-        SweepRow(
-            n=n,
-            p2_projection=_p2(n, 0.0),
-            p2_asymptotic=_p2_asymptotic(n),
-            p2_limited=_p2(n, floor),
-            p2_lindblad=None if setup is None else lindblad_p2(setup),
-            regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
-        )
+        _record(SweepRow, {
+            "n": n,
+            "p2_projection": _p2(n, 0.0),
+            "p2_asymptotic": _p2_asymptotic(n),
+            "p2_limited": _p2(n, floor),
+            "p2_lindblad": None if setup is None else lindblad_p2(setup),
+            "regime_flag": REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
+        })
         for n, setup in zip(n_list, setups)
     ]
     schedule = dict(vars(params))
@@ -129,15 +143,15 @@ def run_neutron_sweep(cfg: RunConfig) -> SweepResult:
     n_list = cfg.require_n_list()
     phi0 = phi_zero(ncfg)
     bound = neutron_n_max(ncfg)
-    rows = tuple(
-        NeutronRow(
-            n=n,
-            p_up_ideal=_p_up(n, 0.0),
-            p_up_limited=_p_up(n, phi0),
-            regime_flag=REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
-        )
+    rows = [
+        _record(NeutronRow, {
+            "n": n,
+            "p_up_ideal": _p_up(n, 0.0),
+            "p_up_limited": _p_up(n, phi0),
+            "regime_flag": REGIME_VALID if n <= bound else REGIME_ILL_DEFINED,
+        })
         for n in n_list
-    )
+    ]
     config = {
         "delta_e_m": ncfg.delta_e_m,
         "delta_e_k": ncfg.delta_e_k,
@@ -204,8 +218,9 @@ def load_result(source) -> SweepResult:
             payload = json.load(handle)
     rows = []
     for entry in payload["rows"]:
-        if "p2_projection" in entry:
-            rows.append(SweepRow(**entry))
-        else:
-            rows.append(NeutronRow(**entry))
+        row_type = SweepRow if "p2_projection" in entry else NeutronRow
+        if list(entry) == _FIELDS[row_type]:
+            rows.append(_record(row_type, entry))
+        else:  # other keys, or the same in another order: the constructor orders or refuses them
+            rows.append(row_type(**entry))
     return SweepResult(tuple(rows), payload["metadata"])

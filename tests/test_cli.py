@@ -1,6 +1,7 @@
 """Tests for the command-line runner."""
 
 import argparse
+import importlib
 import json
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 
 from zenosim import IntegrationError, IonConfig, LindbladConfig, PulseSchedule, cli, lindblad_p2
-from zenosim import sweep
+from zenosim import NeutronRow, SweepRow, errors, sweep
 from zenosim.cli import main
 
 ION_HEADER = "n,p2_projection,p2_asymptotic,p2_limited,p2_lindblad,regime_flag"
@@ -466,3 +467,31 @@ class TestFixedCosts:
             for _ in range(3):
                 assert main(["validate", "--config", str(ion_cfg)]) == 0
         assert sum(c.kwargs.get("prog") == "zenosim" for c in init.call_args_list) == 1
+
+    def test_no_count_check_or_row_init_per_count(self, ion_cfg, neutron_cfg, tmp_path, monkeypatch):
+        # counts are checked as whole lists, rows are built and read back as records
+        calls = dict.fromkeys(["check_count", "SweepRow", "NeutronRow"], 0)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        check_count = errors.check_count
+        for name in ("errors", "config", "dynamics", "ion", "neutron", "sweep"):
+            module = importlib.import_module(f"zenosim.{name}")
+            if getattr(module, "check_count", None) is check_count:
+                monkeypatch.setattr(module, "check_count", counted("check_count", check_count))
+        for row_type in (SweepRow, NeutronRow):
+            monkeypatch.setattr(row_type, "__init__", counted(row_type.__name__, row_type.__init__))
+        counts = ",".join(map(str, range(500, 0, -1)))
+        for command, cfg in [("ion", ion_cfg), ("neutron", neutron_cfg)]:
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{command}.{fmt}"
+                argv = [command, "--config", str(cfg), "--n-list", counts, "--format", fmt, "--out", str(out)]
+                assert main(argv) == 0
+            assert len(sweep.load_result(out).rows) == 500
+        # the one check left is IonConfig's, of the count 1 each ion table's parameters are built with
+        assert calls == {"check_count": 2, "SweepRow": 0, "NeutronRow": 0}

@@ -1,5 +1,6 @@
-"""Property tests: the oracle, the integer bounds, the pulse segments, the JSON round trip and
-the rule for a physical parameter, which stores every accepted value as a Python float."""
+"""Property tests: the oracle, the integer bounds, the pulse segments, the JSON round trip, the
+whole-list count check and the rule for a physical parameter, which stores every accepted value
+as a Python float."""
 
 import io
 import json
@@ -41,6 +42,7 @@ from zenosim import (  # noqa: E402
     simulate_projective_sequence,
 )
 from zenosim.dynamics import _segments  # noqa: E402
+from zenosim.errors import _MAX_COUNT, check_count, check_counts  # noqa: E402
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 counts = st.integers(min_value=1, max_value=10**15)
@@ -186,6 +188,33 @@ def test_csv_cells_follow_the_value_rule(rows):
     lines = [",".join(vars(rows[0]))]
     lines += [",".join(csv_cell(value) for value in vars(row).values()) for row in rows]
     assert buffer.getvalue() == "\n".join(lines) + "\n"
+
+
+count_like = (
+    counts | st.integers(-3, 3) | st.booleans() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.sampled_from([0, -1, 10**400, _MAX_COUNT, _MAX_COUNT + 1, 1.0, "3", Fraction(3), Fraction(3, 2)])
+)
+
+
+def checked(call) -> tuple | str:
+    """The counts ``call()`` returns with their types, or the message of its ConfigError."""
+    try:
+        values = call()
+    except ConfigError as exc:
+        return str(exc)
+    return values, [type(value) for value in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(count_like, max_size=8) | st.lists(counts, max_size=8))
+@example(values=[1, 2, _MAX_COUNT])
+@example(values=[3, _MAX_COUNT + 1])
+@example(values=[2, 10**400, 0])
+@example(values=[3, True, 4])
+def test_check_counts_agrees_with_check_count(values):
+    expected = checked(lambda: [check_count(value, "sweep.n_list") for value in values])
+    assert checked(lambda: check_counts(values, "sweep.n_list")) == expected
+    assert checked(lambda: check_counts(iter(values), "sweep.n_list")) == expected
 
 
 NEUTRON_ENERGIES = {"delta_e_m": 0.4, "delta_e_k": 1.0}

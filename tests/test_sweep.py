@@ -1,8 +1,11 @@
 """Tests for sweeps, emission formats, and the runner config layer."""
 
+import dataclasses
 import io
 import json
 import math
+import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,83 @@ def test_table_rows_make_no_count_check(monkeypatch):
     for closed_form in public:
         with pytest.raises(AssertionError, match="^count 4 checked again$"):
             closed_form(4)
+
+
+def json_rows(result: SweepResult) -> tuple:
+    """``result``'s rows as :func:`load_result` reads them back from its JSON."""
+    buffer = io.StringIO()
+    emit(result, "json", buffer)
+    buffer.seek(0)
+    return load_result(buffer).rows
+
+
+ION_TABLE = run_ion_sweep(ion_config(n_list=(1, 2, 31, 32, 100)))
+LINDBLAD_TABLE = run_ion_sweep(ion_config(n_list=(1, 2), ion_tau_sp=(math.pi / 2) / 20, lindblad=True))
+NEUTRON_TABLE = run_neutron_sweep(neutron_config(n_list=(1, 2, 15, 16, 40)))
+
+
+class TestRecordRows:
+    """Table rows are built without ``__init__``; each must be the row the constructor builds."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ION_TABLE.rows,
+            LINDBLAD_TABLE.rows,
+            NEUTRON_TABLE.rows,
+            json_rows(ION_TABLE),
+            json_rows(LINDBLAD_TABLE),
+            json_rows(NEUTRON_TABLE),
+        ],
+        ids=["ion", "lindblad", "neutron", "ion-json", "lindblad-json", "neutron-json"],
+    )
+    def test_rows_equal_constructor_rows(self, rows):
+        for row in rows:
+            built = type(row)(**vars(row))
+            assert row == built and built == row
+            assert hash(row) == hash(built)
+            assert repr(row) == repr(built)
+            assert list(vars(row)) == list(vars(built)) == [f.name for f in dataclasses.fields(row)]
+            assert list(dataclasses.asdict(row).items()) == list(dataclasses.asdict(built).items())
+            assert dataclasses.replace(row) == built
+            assert dataclasses.replace(row, n=row.n + 1) == dataclasses.replace(built, n=row.n + 1)
+            copy = pickle.loads(pickle.dumps(row))
+            assert copy == built and repr(copy) == repr(built)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.n = 7
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del row.regime_flag
+            assert row == built
+
+    @pytest.mark.parametrize("row_type", [SweepRow, NeutronRow])
+    def test_no_post_init_to_skip(self, row_type):
+        assert not hasattr(row_type, "__post_init__")
+
+    def test_reordered_keys_read_in_field_order(self):
+        row = ION_TABLE.rows[0]
+        payload = {"metadata": ION_TABLE.metadata, "rows": [dict(reversed(vars(row).items()))]}
+        back = load_result(io.StringIO(json.dumps(payload)))
+        assert back.rows == (row,)
+        assert list(vars(back.rows[0])) == list(vars(row))
+        buffer = io.StringIO()
+        emit(back, "csv", buffer)
+        assert buffer.getvalue().splitlines()[0] == ION_HEADER
+
+    @pytest.mark.parametrize("row_type", [SweepRow, NeutronRow])
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_other_keys_refused_as_the_constructor_refuses(self, row_type, change):
+        table = ION_TABLE if row_type is SweepRow else NEUTRON_TABLE
+        entry = dict(vars(table.rows[0]))
+        if change == "extra":
+            entry["extra"] = 1
+        else:
+            del entry["regime_flag"]
+        with pytest.raises(TypeError) as expected:
+            row_type(**entry)
+        payload = json.dumps({"metadata": {}, "rows": [entry]})
+        with pytest.raises(TypeError) as refused:
+            load_result(io.StringIO(payload))
+        assert str(refused.value) == str(expected.value)
 
 
 #: 500 counts around n_max = 12566, the ion bound at tau_sp = 2.5e-4 and the neutron one at phi0 = 1.25e-4.
@@ -411,3 +491,20 @@ class TestConfigFile:
             parse_n_list("3,0")
         with pytest.raises(ConfigError):
             parse_n_list("3,x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0, x", "sweep.n_list: must be an integer >= 1, got 0"),
+            ("4, -1, x", "sweep.n_list: must be an integer >= 1, got -1"),
+            ("1" + "0" * 320 + ", x", "sweep.n_list: must be at most 1.798e+308"),
+            ("x, 0", "sweep.n_list: not an integer: 'x'"),
+            ("2, x", "sweep.n_list: not an integer: 'x'"),
+            ("2, 3.0, 0", "sweep.n_list: not an integer: '3.0'"),
+            ("2, 0, -1", "sweep.n_list: must be an integer >= 1, got 0"),
+        ],
+        ids=["0-x", "4-neg-x", "huge-x", "x-0", "2-x", "2-float-0", "2-0-neg"],
+    )
+    def test_n_list_reports_the_earliest_fault(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_n_list(text)
