@@ -35,14 +35,13 @@ construction: rho0 alone is checked for Hermiticity.  One rule gives every
 state's time.
 """
 
-import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
-from .errors import check_count, check_fraction, check_positive
+from .errors import check_count, check_flag, check_fraction, check_positive
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
 from .states import BlochVector, as_density, hermiticity_residue, np, validate_density
 from .states import _float_bloch, _real_floats
@@ -52,7 +51,7 @@ _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
 #: which a config is refused up front.  A step inside a long segment costs
 #: 0.12-0.15 us (numpy 2.4, one BLAS thread, 2.0 GHz Xeon), 12-15 s at the
-#: limit; a one-step segment 2.8-3.0 us, so a row of them runs about 5 minutes.
+#: limit; a one-step segment 4-7 us, so a row of them runs about 10 minutes.
 MAX_STEPS = 10**8
 #: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
 _BLOCK = 64
@@ -60,14 +59,6 @@ _BLOCK = 64
 _CHUNK = 8 * _BLOCK
 #: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
 _I, _J = [0, 0, 1], [1, 2, 2]
-
-
-def _check_flag(value, field: str) -> bool:
-    """``bool(value)`` if ``value`` is hashable and equals True or False (a numpy.bool_ does)."""
-    with contextlib.suppress(TypeError, ValueError):  # an array is unhashable: no elementwise ==
-        if value in {True, False}:
-            return bool(value)
-    raise ConfigError(f"must be True or False, got {value!r}", field=field)
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,7 @@ class ScheduleParams:
 
     def __post_init__(self):
         checks = {"pulse_duration_fraction": check_fraction, "pulse_area": check_positive,
-                  "rf_during_pulse": _check_flag}
+                  "rf_during_pulse": check_flag}
         if self.integrator_step is not None:
             checks["integrator_step"] = check_positive
         for name, check in checks.items():
@@ -138,7 +129,7 @@ class PulseSchedule:
     def __post_init__(self):
         for name in ("optical_pulse_duration", "optical_rabi"):
             object.__setattr__(self, name, check_positive(getattr(self, name), f"schedule.{name}"))
-        flag = _check_flag(self.rf_during_pulse, "schedule.rf_during_pulse")
+        flag = check_flag(self.rf_during_pulse, "schedule.rf_during_pulse")
         object.__setattr__(self, "rf_during_pulse", flag)
 
     @classmethod

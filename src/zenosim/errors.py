@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check each for a count and a parameter."""
+"""Exception types of the package, and the one check each for a count, a parameter and a flag."""
 
 import contextlib
 import math
@@ -67,6 +67,14 @@ def check_fraction(value, field: str) -> float:
     if (number := check_positive(value, field)) < 1:
         return number
     raise ConfigError("must be < 1", field=field)
+
+
+def check_flag(value, field: str) -> bool:
+    """``bool(value)`` if ``value`` is hashable and equals True or False (a numpy.bool_ does)."""
+    with contextlib.suppress(TypeError, ValueError):  # an array is unhashable: no elementwise ==
+        if value in {True, False}:
+            return bool(value)
+    raise ConfigError(f"must be True or False, got {value!r}", field=field)
 
 
 def floor_count(top: float, bottom: float) -> int:

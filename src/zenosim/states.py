@@ -13,8 +13,9 @@ Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 The per-state checks run once per stored state or oracle step, so each keeps
 its numpy calls few; their values, decisions and messages are the array
-formulas' own.  An exactly Hermitian state, as every integrated one is, is
-validated with one ``eigvalsh`` and no residue arithmetic.
+formulas' own.  Both skip the residue of a state equal entry by entry to its
+adjoint, as every integrated and oracle state is; every other state takes it
+from :func:`hermiticity_residue`.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
@@ -55,8 +56,6 @@ np = _lazy_numpy()
 
 #: Max allowed |rho - rho^dagger| entry for a state accepted as Hermitian.
 HERMITICITY_TOL = 1e-12
-#: A 2x2 state whose scalar residue bound is below this is Hermitian whatever numpy's abs rounds.
-_CLEARLY_HERMITIAN = HERMITICITY_TOL - 4 * math.ulp(HERMITICITY_TOL)
 #: Real and imaginary parts below this cannot overflow in rho + rho^dagger.
 _SUM_SAFE = 2.0**1022
 #: Max allowed excess of a Bloch vector norm over 1.
@@ -106,9 +105,11 @@ class Diagnostics(NamedTuple):
     """Residues reported by :func:`validate_density`.
 
     The caller decides pass/fail against whatever tolerances apply in its
-    context; this function never raises.  A state with a non-finite entry
-    reports a NaN or inf Hermiticity residue and a NaN ``min_eigenvalue``; a
-    finite one whose sums overflow reports inf residues, with no warning.
+    context; the function raises only where :func:`as_density` does, with
+    ``InvalidStateError`` on a 4x4 input and ``ValueError`` (or ``TypeError``)
+    on entries that are not numbers.  A state with a non-finite entry reports a
+    NaN or inf Hermiticity residue and a NaN ``min_eigenvalue``; a finite one
+    whose sums overflow reports inf residues, with no warning.
     """
 
     hermiticity_residue: float
@@ -159,12 +160,11 @@ def validate_density(rho) -> Diagnostics:
     is), every real and imaginary part below ``2**1022``, skips the residue
     arithmetic: its residue is exact zeros, and no sum in its Hermitian part
     can overflow, so that part goes to ``eigvalsh`` unchecked.  The states
-    ``integrate_lindblad`` returns are all such.  Any other state forms the adjoint once, in one
-    error-state block, for the residue (the bits of
-    :func:`hermiticity_residue`) and the Hermitian part.  Both ways the values
-    are the array formulas' own, bit for bit: the Hermitian part is formed, not
-    read off ``rho``, since the two can differ in the sign of a zero and
-    ``eigvalsh`` can round differently for it.
+    ``integrate_lindblad`` returns are all such.  Any other state takes its
+    residue from :func:`hermiticity_residue` and forms its Hermitian part with
+    no warning.  Both ways the values are the array formulas' own, bit for
+    bit: the Hermitian part is formed, not read off ``rho``, since the two can
+    differ in the sign of a zero and ``eigvalsh`` can round differently for it.
     """
     rho = as_density(rho)
     rows = rho.tolist()
@@ -181,18 +181,18 @@ def validate_density(rho) -> Diagnostics:
             abs(z.real) < _SUM_SAFE > abs(z.imag) for row in rows for z in row):
         return Diagnostics(0.0, trace, float(np.linalg.eigvalsh(0.5 * (rho + adjoint))[0]))
     with np.errstate(invalid="ignore", over="ignore"):
-        residue = np.abs(rho - adjoint).max()
         sym = 0.5 * (rho + adjoint)
-    return Diagnostics(float(residue), trace, min_eigenvalue(sym))
+    return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
 
 
 def bloch_from_density(rho) -> BlochVector:
     """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
 
-    A state is accepted on a bound of its residue read off the parts the map
-    drops if that is finite and a few ulps under ``HERMITICITY_TOL``.  Any
-    other is decided and worded by :func:`hermiticity_residue`, since numpy's
-    complex ``abs`` and ``math.hypot`` may round one entry an ulp apart.
+    A state equal entry by entry to the conjugate of its transpose (NaN never
+    is), with real diagonal entries and real Bloch components of finite sum,
+    has residue zero and is mapped with no residue arithmetic.  Any other is
+    decided and worded by :func:`hermiticity_residue`, and then by the
+    finiteness of its Bloch vector.
 
     Raises
     ------
@@ -205,17 +205,14 @@ def bloch_from_density(rho) -> BlochVector:
     if rho.shape != (2, 2):
         raise InvalidStateError("Bloch vector is defined for 2x2 states only")
     (rho_11, rho_12), (rho_21, rho_22) = rho.tolist()
-    r1, r2, r3 = rho_12 + rho_21, 1j * (rho_12 - rho_21), rho_22 - rho_11
-    # The imaginary parts dropped below are the residue's own: |rho_12 - conj rho_21| is
-    # |Im r1 + i Im r2|.  Their norm with the diagonal's bounds the residue from above.
-    diagonal = abs(rho_11 - rho_11.conjugate()), abs(rho_22 - rho_22.conjugate())
-    if not math.hypot(r1.imag, r2.imag, *diagonal) < _CLEARLY_HERMITIAN:  # NaN, inf or near the bound
+    r1, r2, r3 = (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
+    exact = rho_12 == rho_21.conjugate() and rho_11.imag == 0 == rho_22.imag
+    if not (exact and math.isfinite(r1 + r2 + r3)):
         herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
         if not herm <= HERMITICITY_TOL:
             raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-    r1, r2, r3 = r1.real, r2.real, r3.real
-    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
-        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
+        if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
+            raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
     return BlochVector(r1, r2, r3)
 
 

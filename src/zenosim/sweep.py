@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 
 from .config import RunConfig
 from .dynamics import IonConfig, LindbladConfig, PulseSchedule, final_state
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, check_flag
 from .ion import _p2, _p2_asymptotic, n_max
 from .neutron import _p_up, neutron_n_max, phi_zero
 
@@ -83,7 +83,7 @@ def _result(rows, row_type, config: dict, bound: int, integrator_step=None, **ex
         **extra,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "integrator_step": integrator_step,
-        "columns": list(row_type.__dataclass_fields__),
+        "columns": list(_FIELDS[row_type]),
     }
     return SweepResult(tuple(rows), metadata)
 
@@ -100,9 +100,9 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     """Tabulate the ion closed forms (and optionally the full model) over n."""
     (omega, tau_sp), n_list = cfg.require_ion(), cfg.require_n_list()
     table = IonConfig(omega, tau_sp, 1)  # the checked floats every row and the echo read
-    params = cfg.schedule
+    params, lindblad = cfg.schedule, check_flag(cfg.lindblad, "sweep.lindblad")
     setups = [None] * len(n_list)
-    if cfg.lindblad:  # every row is built, and so checked, before the bound or any integration
+    if lindblad:  # every row is built, and so checked, before the bound or any integration
         setups = [
             LindbladConfig(
                 ion,
@@ -131,10 +131,10 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
         "omega": table.omega,
         "tau_sp": table.tau_sp,
         "n_list": list(n_list),
-        "lindblad": cfg.lindblad,
+        "lindblad": lindblad,
         **schedule,
     }
-    return _result(rows, SweepRow, config, bound, integrator_step=step if cfg.lindblad else None)
+    return _result(rows, SweepRow, config, bound, integrator_step=step if lindblad else None)
 
 
 def run_neutron_sweep(cfg: RunConfig) -> SweepResult:

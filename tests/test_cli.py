@@ -4,11 +4,16 @@ import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import zenosim
 from zenosim import IntegrationError, IonConfig, LindbladConfig, PulseSchedule, cli, lindblad_p2
 from zenosim import NeutronRow, SweepRow, errors, sweep
 from zenosim.cli import main
@@ -445,6 +450,23 @@ def test_usage_error_exit_code(argv, capsys):
 def test_help_exit_code(capsys):
     assert main(["ion", "--help"]) == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_run_as_a_module(ion_cfg, tmp_path):
+    # python -m zenosim.cli, as README documents it, exits with main's code
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        command = [sys.executable, "-m", "zenosim.cli", *argv]
+        return subprocess.run(command, capture_output=True, text=True, timeout=120, env=env)
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[ion]\nomega = 1.0\nbogus_key = 7\n")
+    usage, good, config_error = run("--help"), *(run("validate", "--config", str(cfg)) for cfg in (ion_cfg, bad))
+    assert (usage.returncode, good.returncode, config_error.returncode) == (0, 0, 1)
+    assert usage.stdout.startswith("usage: zenosim") and good.stdout == f"{ion_cfg}: OK\n"
+    assert (config_error.stdout, config_error.stderr) == ("", "config error: ion.bogus_key: unknown key\n")
 
 
 class TestFixedCosts:

@@ -1,6 +1,6 @@
 """Property tests: the oracle, the integer bounds, the pulse segments, the JSON round trip, the
-whole-list count check and the rule for a physical parameter, which stores every accepted value
-as a Python float."""
+whole-list count check, the rule for a physical parameter, which stores every accepted value
+as a Python float, and the rule for a flag, which stores it as a bool."""
 
 import io
 import json
@@ -381,14 +381,30 @@ def test_schedule_params_stored_as_floats_for_the_json_echo():
     assert emitted_config(run_ion_sweep(run))["pulse_area"] == 3.0
 
 
-# An array met an elementwise ``in`` and raised numpy's bare "truth value" ValueError.
-@pytest.mark.parametrize("value", ["false", None, 0.5, "True", np.array([True, False]),
-                                   np.array([True]), np.array(False)], ids=repr)
+#: Values a flag refuses.  An array met an elementwise ``in`` and raised numpy's bare
+#: "truth value" ValueError.
+NON_BOOLEAN = ["false", None, 0.5, "True", np.array([True, False]), np.array([True]), np.array(False)]
+#: Values a flag accepts, each stored as ``bool(value)``.
+BOOLEAN = [True, False, np.bool_(True), np.bool_(False), 1, 0]
+
+
+def ion_sweep(lindblad):
+    return run_ion_sweep(RunConfig(ion_omega=1.0, ion_tau_sp=0.1, n_list=(2,), lindblad=lindblad))
+
+
+@pytest.mark.parametrize("value", NON_BOOLEAN, ids=repr)
 def test_non_boolean_rf_during_pulse_refused(value):
     message = f"schedule.rf_during_pulse: must be True or False, got {value!r}"
     assert refusal(PulseSchedule.equispaced, SLOW_ION, 0.025, math.pi, value) == (
         "schedule.rf_during_pulse", message
     )
+
+
+@pytest.mark.parametrize("value", NON_BOOLEAN, ids=repr)
+def test_non_boolean_lindblad_flag_refused_by_the_sweep(value):
+    # "false" integrated the full model, and the echo held it unchecked
+    message = f"sweep.lindblad: must be True or False, got {value!r}"
+    assert refusal(ion_sweep, value) == ("sweep.lindblad", message)
 
 
 @pytest.mark.parametrize("value", ["false", None, np.array([True, False])], ids=repr)
@@ -398,8 +414,15 @@ def test_schedule_params_rf_during_pulse_refused_without_lindblad(value):
     assert refusal(ScheduleParams, 0.025, math.pi, value) == ("schedule.rf_during_pulse", message)
 
 
-@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False), 1, 0], ids=repr)
+@pytest.mark.parametrize("value", BOOLEAN, ids=repr)
 def test_boolean_rf_during_pulse_stored_as_bool(value):
     stored = PulseSchedule.equispaced(SLOW_ION, rf_during_pulse=value).rf_during_pulse
     assert stored is bool(value)
     assert ScheduleParams(rf_during_pulse=value).rf_during_pulse is bool(value)
+
+
+@pytest.mark.parametrize("value", BOOLEAN, ids=repr)
+def test_boolean_lindblad_flag_stored_as_bool(value):
+    result = ion_sweep(value)
+    assert emitted_config(result)["lindblad"] is result.metadata["config"]["lindblad"] is bool(value)
+    assert (result.rows[0].p2_lindblad is not None) is bool(value)

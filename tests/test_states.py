@@ -323,6 +323,8 @@ def _bit_test_states():
     states += list(NON_FINITE_2X2.values())
     states += [np.diag([1.0, 0.0, np.nan]), np.diag([np.inf, 0.0, 0.0]), np.full((3, 3), np.nan)]
     states += [np.array([[0.5, 1e308], [-1e308, 0.5]]), np.diag([1e308, 1e308, -1e308])]
+    # exactly Hermitian: r3 overflows; each of r1, r3 is finite but their sum is not
+    states += [np.diag([-1e308, 1e308]), np.array([[-5e307, 5e307], [5e307, 5e307]])]
     return states + _exactly_hermitian_states() + _near_bound_states()
 
 
@@ -440,6 +442,25 @@ class TestSameBitsAsArrayFormulas:
         # numpy's complex abs and math.hypot round some residues differently
         off_diagonal = [rho[0, 1] - rho[1, 0].conjugate() for rho in near]
         assert any(abs(z) != math.hypot(z.real, z.imag) for z in off_diagonal)
+
+    def test_residue_computed_only_for_a_state_not_exactly_hermitian(self, monkeypatch):
+        calls = []
+
+        def counted(rho):
+            calls.append(rho)
+            return hermiticity_residue(rho)
+
+        monkeypatch.setattr("zenosim.states.hermiticity_residue", counted)
+        rng = np.random.default_rng(5)
+        for _ in range(200):  # the oracle's states
+            rho = apply_projection(density_from_bloch(random_bloch(rng)))
+            bloch_from_density(rho)
+            validate_density(rho)
+        assert calls == []
+        near = np.array([[0.75, 0.25 + 1e-15], [0.25, 0.25]], dtype=complex)  # within tolerance
+        assert bloch_from_density(near) == BlochVector(0.5 + 1e-15, 0.0, -0.5)
+        assert validate_density(near).hermiticity_residue == pytest.approx(1e-15, rel=0.2)
+        assert len(calls) == 2
 
     def test_apply_projection(self):
         for rho in self.STATES:
