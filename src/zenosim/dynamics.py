@@ -28,7 +28,7 @@ real generator omega G_rf + Omega_opt G_opt + gamma G_decay.  In a segment one
 RK4 step is the fixed 9x9 map P = sum_{k<=4} (h G)^k / k! (Havel, J. Math. Phys.
 44, 534 (2003)).  P..P^b, built once per row for each segment kind and step and
 stored flat as (9 b, 9), take the last state to the next b in one 2-D product.
-These blocks fill chunks of up to 512 states that run across segments; each
+These blocks fill chunks of up to 4,096 states that run across segments; each
 chunk is validated at once, elementwise over its coordinate columns, for unit
 trace and the LDL^H pivots of positivity, since every state is Hermitian by
 construction: rho0 alone is checked for Hermiticity.  One rule gives every
@@ -50,13 +50,13 @@ from .states import _float_bloch, _real_floats
 _STEP_MARGIN = 20
 #: Most RK4 steps allowed over t_pi, counting at least one per segment, beyond
 #: which a config is refused up front.  A step inside a long segment costs
-#: 0.12-0.15 us (numpy 2.4, one BLAS thread, 2.0 GHz Xeon), 12-15 s at the
-#: limit; a one-step segment 4-7 us, so a row of them runs about 10 minutes.
+#: 0.11-0.19 us (numpy 2.4, one BLAS thread, 2.0 GHz Xeon), 11-19 s at the
+#: limit; a one-step segment 4.5-7 us, so a row of them runs about 10 minutes.
 MAX_STEPS = 10**8
 #: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
 _BLOCK = 64
-#: States validated, and yielded, at once: the blocks of one or more segments.
-_CHUNK = 8 * _BLOCK
+#: States validated, and yielded, at once: blocks of one or more segments, 64 to spread the gate's call cost.
+_CHUNK = 64 * _BLOCK
 #: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
 _I, _J = [0, 0, 1], [1, 2, 2]
 
@@ -336,7 +336,7 @@ def _validate_block(cfg: LindbladConfig, first: int, rows: "np.ndarray") -> "np.
     ``first`` is the trajectory index of the chunk's first state.  At the bad
     state trace is reported first, then positivity.  Comparisons are written
     so that NaN fails them.  Only a failure makes times, walking
-    :func:`_state_times` up to the bad state: about 9 s at the end of a ``MAX_STEPS`` row.
+    :func:`_state_times` up to the bad state: 13-18 s at the end of a ``MAX_STEPS`` row.
     """
     x = rows.T  # (9, b): each coordinate over the chunk, so every check is elementwise
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite or huge: fails

@@ -53,8 +53,9 @@ from zenosim.states import hermiticity_residue, validate_density
 SRC = str(Path(zenosim.__file__).resolve().parents[1])
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-#: The white-box gate tests' trajectory: one segment of 1000 steps of 0.01, state k at k * 0.01.
-GATE_CFG = LindbladConfig(IonConfig(math.pi / 10, 1e3, 1), integrator_step=0.01)
+#: The white-box gate tests' trajectory: one segment of 4500 steps of 0.01, state k at k * 0.01,
+#: more states than one chunk holds.
+GATE_CFG = LindbladConfig(IonConfig(math.pi / 45, 1e3, 1), integrator_step=0.01)
 #: A state with two eigenvalues -NEGATIVE inside the tolerance: the decay of
 #: level 2 pours its share into level 0, so the smallest eigenvalue falls to
 #: about -2 NEGATIVE, still inside it, and keeps falling while level 2 decays.
@@ -243,6 +244,14 @@ def density(rng, rank: int) -> np.ndarray:
     a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
     rho = a @ a.conj().T
     return rho / rho.trace().real
+
+
+def densities(rng, count: int) -> np.ndarray:
+    """``count`` seeded random 3x3 density matrices, each of a random rank 1-3, as (count, 3, 3)."""
+    a = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    a *= np.arange(3) < rng.integers(1, 4, size=(count, 1, 1))  # keep the first rank columns
+    rho = a @ a.conj().swapaxes(1, 2)
+    return rho / rho.trace(axis1=1, axis2=2).real[:, None, None]
 
 
 def rotated(rng, spectrum) -> np.ndarray:
@@ -799,6 +808,9 @@ print(time.process_time() - cpu, time.perf_counter() - wall)
 class TestChunkedEngine:
     """Stepping in blocks per segment, validation in chunks across segments."""
 
+    #: Chunk sizes that must give the same bits and failures: whole blocks, two or more.
+    CHUNK_SIZES = (2 * _BLOCK, 8 * _BLOCK, _CHUNK)
+
     def test_block_products_run_on_one_core(self):
         # A fresh interpreter with no *_NUM_THREADS variable runs numpy at its
         # default thread count, where OpenBLAS spreads a complex matrix-vector
@@ -844,20 +856,20 @@ class TestChunkedEngine:
     def test_failure_in_later_segment_of_chunk(self):
         # One-step segments, so a chunk spans _CHUNK segments; a tolerance
         # patched between a state's smallest eigenvalue and those before it
-        # fails that state inside one, after others that pass.
-        ion = IonConfig(1.0, 0.1, 2000)
+        # fails that state inside one, after others that pass, at every chunk size.
+        ion = IonConfig(1.0, 1.0, 4000)
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, pulse_area=1e-9))
         assert {seg[3] for seg in _segments(cfg)} == {1}
         traj = integrate_lindblad(cfg, LEAKY3)
         low = np.linalg.eigvalsh(np.array([rho for _, rho in traj]))[:, 0]
         first = _CHUNK + 100
-        assert low[first] < low[:first].min() and (first - 1) % _CHUNK > 0
+        assert low[first] < low[:first].min() and all((first - 1) % size > 0 for size in self.CHUNK_SIZES)
         lost = f"state lost positivity (min eig {validate_density(traj[first][1]).min_eigenvalue:.3e})"
         with mock.patch("zenosim.dynamics.TRAJECTORY_MIN_EIG_TOL", -(low[first] + low[:first].min()) / 2):
-            for run in (integrate_lindblad, final_state):
-                with pytest.raises(IntegrationError) as err:
+            for size, run in itertools.product(self.CHUNK_SIZES, (integrate_lindblad, final_state)):
+                with mock.patch("zenosim.dynamics._CHUNK", size), pytest.raises(IntegrationError) as err:
                     run(cfg, LEAKY3)
-                assert (err.value.message, err.value.time) == (lost, traj[first][0])
+                assert (err.value.message, err.value.time) == (lost, traj[first][0]), size
 
     def test_failure_time_at_segment_end_and_inside_block(self):
         # A tolerance patched between a chosen state's residue and the largest
@@ -865,7 +877,8 @@ class TestChunkedEngine:
         # time is the segment's end and not start + n_steps * h, and one inside
         # a block of a later chunk, at start + i * h.
         ion = IonConfig(1.0, 1.0, 3)
-        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05))
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05),
+                             integrator_step=1 / 2400)  # half the default, so the third gap is past a chunk
         segments = list(_segments(cfg))
         start, end, _, n_steps = segments[0]
         assert n_steps > _BLOCK and start + n_steps * ((end - start) / n_steps) != end
@@ -893,6 +906,28 @@ class TestChunkedEngine:
                     with pytest.raises(IntegrationError) as err:
                         run(cfg, rho0)
                     assert (err.value.message, err.value.time) == (f"state lost {lost}", time)
+
+    def test_chunk_size_moves_no_bits(self):
+        # Blocks never straddle chunks, so every block product starts from the
+        # same state at any chunk size.  The reused buffer needs whole blocks
+        # and room for a block past the carried state.
+        assert _CHUNK % _BLOCK == 0 and _CHUNK >= 2 * _BLOCK
+        # lindblad-check's n = 8 row and criterion 5's rows at lifetime ratios 10 and 100.
+        ion = IonConfig(1.0, math.pi / 8 / 20, 8)
+        cfgs = [LindbladConfig(ion, PulseSchedule.equispaced(ion))]
+        for ratio in (10, 100):
+            ion = IonConfig(1.0, math.pi / ratio, 4)
+            schedule = PulseSchedule.equispaced(ion, duration_fraction=0.05)
+            cfgs.append(LindbladConfig(ion, schedule, LindbladConfig(ion, schedule).max_step() / 4))
+        for cfg in cfgs:
+            runs = set()
+            for size in self.CHUNK_SIZES:
+                with mock.patch("zenosim.dynamics._CHUNK", size):
+                    traj = integrate_lindblad(cfg, GROUND3)
+                    last = final_state(cfg, GROUND3)
+                states = np.array([rho for _, rho in traj])
+                runs.add((tuple(t for t, _ in traj), states.tobytes(), last.tobytes()))
+            assert len(runs) == 1 and len(states) > 2 * _CHUNK
 
     def test_final_state_makes_no_times(self):
         ion = IonConfig(1.0, 0.1, 4)
@@ -947,7 +982,7 @@ class TestGate:
                 if np.isfinite(probe).all()]
         seen = set()
         for size in [1] * 40 + [2, 9, 37, 63, 64, 65, 300, _CHUNK - 1, _CHUNK] * 12:
-            rows = to_x([density(rng, int(rng.integers(1, 4))) for _ in range(size)])
+            rows = to_x(densities(rng, size))
             for at in rng.choice(size, size=min(size, int(rng.integers(0, 4))), replace=False):
                 rows[at] = pool[rng.integers(len(pool))]
             want = reference_gate(GATE_CFG, 1, from_x(rows))

@@ -364,9 +364,11 @@ def _exactly_hermitian_states():
 def _near_bound_states():
     """2x2 states whose numpy residue lies within 10 ulps of HERMITICITY_TOL, either side.
 
-    Off the diagonal the residue is numpy's |a + ib| for a = R cos t, b = R sin t (halving and
-    negating are exact); on it, |2 Im rho_ii| exactly.  The last three have equal residues on and
-    off the diagonal, each below the bound; for two of them their norm is above it.
+    They pin the residue decision at HERMITICITY_TOL, which ``hermiticity_residue`` makes for
+    every state not exactly Hermitian.  Off the diagonal the residue is numpy's |a + ib| for
+    a = R cos t, b = R sin t (halving and negating are exact); on it, |2 Im rho_ii| exactly.  The
+    last three have equal residues on and off the diagonal, each below the bound, so the residue
+    is the largest entry and not a norm over them: for two of them that norm is above it.
     """
     rng = np.random.default_rng(24)
     states = []
@@ -439,7 +441,8 @@ class TestSameBitsAsArrayFormulas:
         residues = [float(hermiticity_residue(rho)) for rho in near]
         assert {r <= HERMITICITY_TOL for r in residues} == {True, False}
         assert all(abs(r - HERMITICITY_TOL) <= 10 * math.ulp(HERMITICITY_TOL) for r in residues[:-3])
-        # numpy's complex abs and math.hypot round some residues differently
+        # some off-diagonal residues round differently under math.hypot than under numpy's complex
+        # abs, so the decision is pinned to hermiticity_residue's rounding, not to a scalar formula's
         off_diagonal = [rho[0, 1] - rho[1, 0].conjugate() for rho in near]
         assert any(abs(z) != math.hypot(z.real, z.imag) for z in off_diagonal)
 
