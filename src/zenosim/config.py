@@ -3,7 +3,8 @@
 The format is INI-style with sections ``[ion]``, ``[schedule]``,
 ``[neutron]``, ``[sweep]``, and ``[output]``.  Unknown sections or keys are
 rejected so a typo in a physics parameter cannot silently fall back to a
-default.  A list of counts is checked as a whole, by ``check_counts``.
+default.  Numbers and counts are plain ASCII literals, with no ``_``.  A list of
+counts is checked as a whole, by ``check_counts``.
 """
 
 import configparser
@@ -53,16 +54,23 @@ def parse_n_list(text: str, field_name: str = "sweep.n_list") -> tuple[int, ...]
         if not part:
             continue
         try:
-            values.append(int(part))
+            values.append(_literal(int, part))
         except ValueError as exc:
             check_counts(values, field_name)  # a bad count before this part is the earlier fault
             raise ConfigError(f"not an integer: {part!r}", field=field_name) from exc
     return tuple(sorted(set(check_counts(values, field_name))))
 
 
+def _literal(convert, raw: str):
+    """``convert(raw)`` for ASCII text without ``_``; ValueError for what else ``float`` or ``int`` reads."""
+    if raw.isascii() and "_" not in raw:
+        return convert(raw)
+    raise ValueError(f"not a plain ASCII literal: {raw!r}")
+
+
 def _positive_float(raw: str, field_name: str) -> float:
     try:
-        value = float(raw)
+        value = _literal(float, raw)
     except ValueError as exc:
         raise ConfigError(f"not a number: {raw!r}", field=field_name) from exc
     return check_positive(value, field_name)

@@ -41,10 +41,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
-from .errors import check_count, check_flag, check_fraction, check_positive
+from .errors import check_count, check_flag, check_fraction, check_positive, real_floats
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, as_density, hermiticity_residue, np, validate_density
-from .states import _float_bloch, _real_floats
+from .states import BlochVector, _float_bloch, as_density, hermiticity_residue, np, validate_density
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
@@ -226,7 +225,7 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
         past the float range, ``dt`` is negative or NaN, or the angle
         ``omega * dt`` is not finite.
     """
-    reals = _real_floats((omega, dt))
+    reals = real_floats((omega, dt))
     if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
         raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
     r0 = _float_bloch(r0)

@@ -1,4 +1,7 @@
-"""Exception types of the package, and the one check each for a count, a parameter and a flag."""
+"""Exception types of the package, and the one rule each for a count, a real number, a parameter and a flag.
+
+A real number is a ``numbers.Real``, not a ``bool``, whose ``float()`` does not overflow: :func:`real_floats`.
+"""
 
 import contextlib
 import math
@@ -54,11 +57,23 @@ def check_counts(values, field: str = "n") -> list[int]:
     return [check_count(n, field) for n in counts]  # the first offender raises its own error
 
 
-def check_positive(value, field: str) -> float:
-    """``float(value)``, a Python float, if ``value`` is a real, not ``bool``, finite and > 0."""
+def real_floats(values) -> "tuple[float, ...] | None":
+    """Tuple ``values`` as Python floats, or None unless each is a real number, not a bool, in float range."""
+    for value in values:  # a loop, not all(): the oracle's all-float case takes no generator
+        if type(value) is not float:
+            break
+    else:
+        return values
     with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range
-        if type(value) is not bool and isinstance(value, Real) and 0 < (number := float(value)) < math.inf:
-            return number
+        if all(type(value) is not bool and isinstance(value, Real) for value in values):
+            return tuple(map(float, values))
+    return None
+
+
+def check_positive(value, field: str) -> float:
+    """``float(value)``, a Python float, if :func:`real_floats` reads ``value`` and it is finite and > 0."""
+    if (number := real_floats((value,))) and 0 < number[0] < math.inf:
+        return number[0]
     raise ConfigError(f"must be finite and > 0, got {value!r}", field=field)
 
 

@@ -8,7 +8,7 @@ Bloch vector (r1, r2, r3) with
     r3 = rho_22 - rho_11,
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
-The Bloch helpers compute in Python floats whatever real type a caller passes.
+The Bloch helpers read each real number as a Python float by ``errors.real_floats``.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 The per-state checks run once per stored state or oracle step, so each keeps
@@ -28,14 +28,12 @@ not safe against two threads making the first access at once: a threaded
 program should import numpy before it starts its threads.
 """
 
-import contextlib
 import importlib.util
 import math
 import sys
-from numbers import Real
 from typing import NamedTuple
 
-from .errors import InvalidStateError, NonphysicalStateError
+from .errors import InvalidStateError, NonphysicalStateError, real_floats
 
 
 def _lazy_numpy():
@@ -81,22 +79,9 @@ class BlochVector(NamedTuple):
         return math.hypot(self.r1, self.r2, self.r3)
 
 
-def _real_floats(values) -> "tuple[float, ...] | None":
-    """Tuple ``values`` as Python floats, or None unless each is a real number, not a bool, in float range."""
-    for value in values:  # a loop, not all(): the oracle's all-float case takes no generator
-        if type(value) is not float:
-            break
-    else:
-        return values
-    with contextlib.suppress(OverflowError):  # float() of an int or Fraction past the float range
-        if all(type(value) is not bool and isinstance(value, Real) for value in values):
-            return tuple(map(float, values))
-    return None
-
-
 def _float_bloch(r) -> BlochVector:
-    """``r`` as a BlochVector of Python floats; ValueError unless :func:`_real_floats` reads it."""
-    if (parts := _real_floats(r := tuple(r))) is None:
+    """``r`` as a BlochVector of Python floats; ValueError unless :func:`real_floats` reads it."""
+    if (parts := real_floats(r := tuple(r))) is None:
         raise ValueError(f"Bloch vector components must be real numbers, not bool, got {r!r}")
     return BlochVector(*parts)
 

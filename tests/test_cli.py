@@ -39,6 +39,11 @@ n_list = 1, 2, 15
 """
 
 
+def no_row_integrated():
+    """A patch under which integrating any Lindblad row fails the test."""
+    return mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated"))
+
+
 @pytest.fixture
 def ion_cfg(tmp_path):
     path = tmp_path / "ion.cfg"
@@ -120,7 +125,7 @@ class TestIonCommand:
             "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[neutron]\ndelta_e_m = 0.4\ndelta_e_k = 1.0\n\n"
             "[sweep]\nn_list = 2, 4\nlindblad = true\n"
         )
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main([command, "--config", str(cfg), "--out", out]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -137,7 +142,7 @@ class TestIonCommand:
             args = ["--format", " JSON ", "--out", f" {upper} "]
             assert main(["ion", "--config", str(cfg), *args]) == 0
         assert upper.read_bytes() == lower.read_bytes()
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main(["ion", "--config", str(cfg), "--format", "xml"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -156,7 +161,7 @@ class TestIonCommand:
         cfg.write_text(
             "[ion]\nomega = 1.0\ntau_sp = 0.1\n\n[sweep]\nn_list = 500, 50000\nlindblad = true\n"
         )
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main(["ion", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -246,10 +251,12 @@ class TestValidateCommand:
     @pytest.mark.parametrize("text, message", [
         (ION_CFG + "\n[output]\npath =\n", "output.path: must not be empty"),
         (ION_CFG.replace("1, 2, 4", "1" + "0" * 320), "sweep.n_list: must be at most 1.798e+308"),
-    ], ids=["empty-output-path", "count-past-float-range"])
+        (ION_CFG.replace("0.1", "0_1"), "ion.tau_sp: not a number: '0_1'"),
+        (ION_CFG.replace("1, 2, 4", "1_6, \u0663"), "sweep.n_list: not an integer: '1_6'"),
+    ], ids=["empty-output-path", "count-past-float-range", "underscore-number", "underscore-count"])
     def test_value_refused_before_any_run(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         assert main(["validate", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -288,14 +295,14 @@ class TestLindbladCheckCommand:
         # a check of no row would pass; an empty --n-list replaces the file's list, then is refused
         cfg = tmp_path / "check.cfg"
         cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n[sweep]\nn_list = 2\n")
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main(["lindblad-check", "--config", str(cfg), "--n-list", ","]) == 1
         assert capsys.readouterr() == ("", "config error: --n-list: must name at least one count\n")
 
     def test_empty_config_n_list_refused(self, tmp_path, capsys):
         cfg = tmp_path / "check.cfg"
         cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 0.1\n[sweep]\nn_list = ,\n")
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main(["lindblad-check", "--config", str(cfg)]) == 1
         assert capsys.readouterr() == (
             "", "config error: sweep.n_list: must name at least one count\n"
@@ -340,7 +347,7 @@ class TestLindbladCheckCommand:
         # 6.3e13 RK4 steps would run for days; no integration may start
         cfg = tmp_path / "fast_decay.cfg"
         cfg.write_text("[ion]\nomega = 1.0\ntau_sp = 1e-12\n")
-        with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+        with no_row_integrated():
             assert main(["lindblad-check", "--config", str(cfg), "--n-list", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -373,6 +380,19 @@ def test_count_past_float_range_is_config_error(tmp_path, capsys, command):
     assert captured.err == "config error: --n-list: must be at most 1.798e+308\n"
 
 
+@pytest.mark.parametrize("n_list", ["1_6", "\u0663", "2, 1_6", "\uff12"], ids=ascii)
+@pytest.mark.parametrize("command", ["ion", "neutron", "lindblad-check"])
+def test_count_not_plain_ascii_is_config_error(tmp_path, capsys, command, n_list):
+    # int() would read 1_6 as 16 and an Arabic-Indic or fullwidth digit as its value
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text(ION_CFG + NEUTRON_CFG.replace("[sweep]\nn_list = 1, 2, 15\n", ""))
+    with no_row_integrated():
+        assert main([command, "--config", str(cfg), "--n-list", n_list]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --n-list: not an integer: {n_list.split(', ')[-1]!r}\n"
+
+
 @pytest.mark.parametrize("schedule, n, field, fault", [
     ("pulse_duration_fraction = 5e-324", 1000, "schedule.pulse_duration_fraction", "overflows"),
     ("pulse_area = 1e308", 4, "schedule.pulse_area", "overflows"),
@@ -387,7 +407,7 @@ def test_optical_rabi_past_float_range_is_config_error(
     # the optical Rabi frequency pulse_area / pulse length is 0-divided, overflows or underflows
     cfg = tmp_path / "pulse.cfg"
     cfg.write_text(f"{ION_CFG}\nlindblad = true\n\n[schedule]\n{schedule}\n")
-    with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+    with no_row_integrated():
         assert main([command, "--config", str(cfg), "--n-list", str(n)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -425,7 +445,7 @@ def test_step_refusal_names_a_config_key(tmp_path, capsys, command, text, messag
     # set, and otherwise says where the default step comes from.
     cfg = tmp_path / "step.cfg"
     cfg.write_text(text)
-    with mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+    with no_row_integrated():
         assert main([command, "--config", str(cfg), "--n-list", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

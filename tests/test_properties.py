@@ -286,6 +286,14 @@ def test_non_real_parameter_refused(field, value):
     assert refusal(LIBRARY[field], value) == (field, message)
 
 
+@pytest.mark.parametrize("field", sorted(LIBRARY))
+@pytest.mark.parametrize("value", [2**1024, Fraction(2**1024)], ids=["2**1024", "Fraction(2**1024)"])
+def test_parameter_past_float_range_refused(field, value):
+    # float() of either raises OverflowError, which the parameter rule turns into its refusal
+    message = f"{field}: must be finite and > 0, got {value!r}"
+    assert refusal(LIBRARY[field], value) == (field, message)
+
+
 @pytest.mark.parametrize("field", sorted(LIBRARY.keys() - BOUNDED))
 @pytest.mark.parametrize(
     "value", [np.float64(0.001), 1, Fraction(1, 1000), np.float32(0.001)], ids=repr

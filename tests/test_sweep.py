@@ -379,7 +379,7 @@ class TestEmit:
 class TestConfigFile:
     def write(self, tmp_path, text):
         path = tmp_path / "run.cfg"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def test_full_ion_file(self, tmp_path):
@@ -447,6 +447,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="ion.omega"):
             parse_config(path)
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("ion", "tau_sp", "0_1"),
+        ("ion", "omega", "1_0"),
+        ("ion", "omega", "\u0661"),
+        ("schedule", "pulse_area", "\uff13.14"),
+        ("schedule", "pulse_duration_fraction", "0.0_25"),
+        ("neutron", "delta_e_m", "4e-0_1"),
+    ], ids=["underscore", "underscore-int", "arabic-digit", "fullwidth-digit", "underscore-fraction",
+            "underscore-exponent"])
+    def test_number_must_be_plain_ascii(self, tmp_path, section, key, raw):
+        # float() would read each of these as a number
+        float(raw)
+        path = self.write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{section}.{key}: not a number: {raw!r}')}$"):
+            parse_config(path)
+
     def test_non_finite_number_rejected(self, tmp_path):
         path = self.write(tmp_path, "[ion]\nomega = inf\n")
         with pytest.raises(ConfigError, match="ion.omega"):
@@ -502,8 +518,12 @@ class TestConfigFile:
             ("2, x", "sweep.n_list: not an integer: 'x'"),
             ("2, 3.0, 0", "sweep.n_list: not an integer: '3.0'"),
             ("2, 0, -1", "sweep.n_list: must be an integer >= 1, got 0"),
+            ("0, 1_6", "sweep.n_list: must be an integer >= 1, got 0"),
+            ("1_6, \u0663", "sweep.n_list: not an integer: '1_6'"),
+            ("2, \u0663", "sweep.n_list: not an integer: '\u0663'"),
         ],
-        ids=["0-x", "4-neg-x", "huge-x", "x-0", "2-x", "2-float-0", "2-0-neg"],
+        ids=["0-x", "4-neg-x", "huge-x", "x-0", "2-x", "2-float-0", "2-0-neg", "0-underscore",
+             "underscore-arabic", "2-arabic"],
     )
     def test_n_list_reports_the_earliest_fault(self, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
