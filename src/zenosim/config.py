@@ -1,17 +1,20 @@
 """Sectioned key-value configuration files for the command-line runner.
 
-The format is INI-style with sections ``[ion]``, ``[schedule]``,
-``[neutron]``, ``[sweep]``, and ``[output]``.  Unknown sections or keys are
-rejected so a typo in a physics parameter cannot silently fall back to a
-default.  Numbers and counts are plain ASCII literals, with no ``_``.  A list of
-counts is checked as a whole, by ``check_counts``.
+The format is INI-style with sections ``[ion]``, ``[schedule]``, ``[neutron]``,
+``[sweep]`` and ``[output]``.  Unknown sections or keys, ``[DEFAULT]`` keys
+included, are rejected so a typo in a physics parameter cannot silently fall back
+to a default.  Numbers and counts are plain ASCII literals, with no ``_``, and a
+number's text must lie in the float range.  ``[schedule]`` and ``[neutron]`` are
+only read here, and ``ScheduleParams`` and ``NeutronConfig`` check their values; every other
+value is checked as it is read, a list of counts as a whole by ``check_counts``.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ScheduleParams
-from .errors import ConfigError, check_counts, check_fraction, check_positive
+from .errors import ConfigError, check_counts, check_positive
 from .neutron import NeutronConfig
 
 _FORMATS = ("csv", "json")
@@ -68,16 +71,20 @@ def _literal(convert, raw: str):
     raise ValueError(f"not a plain ASCII literal: {raw!r}")
 
 
-def _positive_float(raw: str, field_name: str) -> float:
+def _number(raw: str, field_name: str) -> float:
     try:
         value = _literal(float, raw)
     except ValueError as exc:
         raise ConfigError(f"not a number: {raw!r}", field=field_name) from exc
-    return check_positive(value, field_name)
+    # float() reads a literal past its range as +-inf or 0.0; only a spelt infinity or zero means that
+    digits = raw.lower().lstrip("+-").partition("e")[0]
+    if (abs(value) == math.inf and not digits.startswith("inf")) or (value == 0 and digits.strip("0.")):
+        raise ConfigError(f"outside the float range: {raw!r}", field=field_name)
+    return value
 
 
-def _fraction(raw: str, field_name: str) -> float:
-    return check_fraction(_positive_float(raw, field_name), field_name)
+def _positive_float(raw: str, field_name: str) -> float:
+    return check_positive(_number(raw, field_name), field_name)
 
 
 def _boolean(raw: str, field_name: str) -> bool:
@@ -100,23 +107,19 @@ def _out_format(raw: str, field_name: str) -> str:
     return value
 
 
-#: section -> key -> (field it sets, converter(raw, dotted name)).  Values are
-#: converted in this order, so it decides which of several faults is reported;
-#: [schedule] and [neutron] build the RunConfig field named after them, the
-#: other sections set RunConfig fields directly.
+_NESTED = {"schedule": ScheduleParams, "neutron": NeutronConfig}
+#: section -> key -> (field it sets, converter(raw, dotted name)), converted in this order.  A
+#: _NESTED section's keys are read as text only, and its class checks their ranges, so a text fault
+#: there comes before a range fault; other sections check each value as it is read.
 _TABLE = {
     "ion": {"omega": ("ion_omega", _positive_float), "tau_sp": ("ion_tau_sp", _positive_float)},
-    "schedule": {
-        "pulse_duration_fraction": ("pulse_duration_fraction", _fraction),
-        "pulse_area": ("pulse_area", _positive_float),
-        "rf_during_pulse": ("rf_during_pulse", _boolean),
-        "integrator_step": ("integrator_step", _positive_float),
+    **{
+        section: {f.name: (f.name, _boolean if f.type is bool else _number) for f in fields(cls)}
+        for section, cls in _NESTED.items()
     },
-    "neutron": {f.name: (f.name, _positive_float) for f in fields(NeutronConfig)},
     "sweep": {"n_list": ("n_list", parse_n_list), "lindblad": ("lindblad", _boolean)},
     "output": {"format": ("out_format", _out_format), "path": ("out_path", _out_path)},
 }
-_NESTED = {"schedule": ScheduleParams, "neutron": NeutronConfig}
 
 
 def parse_config(path) -> RunConfig:
@@ -145,6 +148,8 @@ def parse_config(path) -> RunConfig:
         for key in parser[section]:
             if key not in _TABLE[section]:
                 raise ConfigError("unknown key", field=f"{section}.{key}")
+    for key in parser.defaults():  # a [DEFAULT] key no section refused would be dropped or inherited
+        raise ConfigError("unknown key", field=f"DEFAULT.{key}")
 
     run = {}
     for section, keys in _TABLE.items():

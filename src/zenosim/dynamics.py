@@ -89,11 +89,11 @@ class IonConfig:
 class ScheduleParams:
     """Optical measurement-pulse knobs shared by all rows of a sweep.
 
-    Pulses last ``pulse_duration_fraction`` of the measurement spacing and
-    carry ``pulse_area`` on the optical transition (pi by default).  These
-    defaults are also those of :meth:`PulseSchedule.equispaced`, which checks
-    them as this class does: each value, ``integrator_step`` if given, is
-    stored as the float its check returns, under its ``schedule.*`` name.
+    Pulses last ``pulse_duration_fraction`` of the measurement spacing and carry
+    ``pulse_area`` on the optical transition (pi by default), defaults that
+    :meth:`PulseSchedule.equispaced` shares and checks as this class does: each
+    value, ``integrator_step`` if given, is stored as the float its check returns,
+    under its ``schedule.*`` name.  Its fields are ``[schedule]``'s keys, checked only here.
     """
 
     pulse_duration_fraction: float = 0.025
@@ -108,6 +108,11 @@ class ScheduleParams:
             checks["integrator_step"] = check_positive
         for name, check in checks.items():
             object.__setattr__(self, name, check(getattr(self, name), f"schedule.{name}"))
+
+    def setup(self, ion: IonConfig) -> "LindbladConfig":
+        """``ion``'s full-model setup: pulses equispaced under these knobs, and this step."""
+        knobs = self.pulse_duration_fraction, self.pulse_area, self.rf_during_pulse
+        return LindbladConfig(ion, PulseSchedule.equispaced(ion, *knobs), self.integrator_step)
 
 
 @dataclass(frozen=True)

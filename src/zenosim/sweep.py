@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .config import RunConfig
-from .dynamics import IonConfig, LindbladConfig, PulseSchedule, final_state
+from .dynamics import IonConfig, LindbladConfig, final_state
 from .errors import ConfigError, IntegrationError, check_flag
 from .ion import _p2, _p2_asymptotic, n_max
 from .neutron import _p_up, neutron_n_max, phi_zero
@@ -103,16 +103,7 @@ def run_ion_sweep(cfg: RunConfig) -> SweepResult:
     params, lindblad = cfg.schedule, check_flag(cfg.lindblad, "sweep.lindblad")
     setups = [None] * len(n_list)
     if lindblad:  # every row is built, and so checked, before the bound or any integration
-        setups = [
-            LindbladConfig(
-                ion,
-                PulseSchedule.equispaced(
-                    ion, params.pulse_duration_fraction, params.pulse_area, params.rf_during_pulse
-                ),
-                integrator_step=params.integrator_step,
-            )
-            for ion in (IonConfig(table.omega, table.tau_sp, n) for n in n_list)
-        ]
+        setups = [params.setup(IonConfig(table.omega, table.tau_sp, n)) for n in n_list]
     bound, floor = n_max(table), table.omega * table.tau_sp
     rows = [  # require_n_list checked each count, so the rows call the closed forms' kernels
         _record(SweepRow, {

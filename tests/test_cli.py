@@ -253,7 +253,9 @@ class TestValidateCommand:
         (ION_CFG.replace("1, 2, 4", "1" + "0" * 320), "sweep.n_list: must be at most 1.798e+308"),
         (ION_CFG.replace("0.1", "0_1"), "ion.tau_sp: not a number: '0_1'"),
         (ION_CFG.replace("1, 2, 4", "1_6, \u0663"), "sweep.n_list: not an integer: '1_6'"),
-    ], ids=["empty-output-path", "count-past-float-range", "underscore-number", "underscore-count"])
+        ("[DEFAULT]\nomega = 1.0\n", "DEFAULT.omega: unknown key"),
+    ], ids=["empty-output-path", "count-past-float-range", "underscore-number", "underscore-count",
+            "default-key"])
     def test_value_refused_before_any_run(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text, encoding="utf-8")

@@ -730,6 +730,34 @@ class TestRealCoordinates:
                 validate_density(GROUND3)
 
 
+#: Re rho01, Re rho02 and Im rho12: coordinates that the generator couples only with each other.
+SECTOR = [3, 5, 8]
+
+
+class TestGroundStateSector:
+    """x3, x5 and x8 form a sector of their own, which a trajectory from the ground state never enters."""
+
+    def test_generator_parts_do_not_couple_the_sectors(self):
+        rest = [k for k in range(9) if k not in SECTOR]
+        for part in _generator_parts():
+            assert not part[np.ix_(SECTOR, rest)].any()
+            assert not part[np.ix_(rest, SECTOR)].any()
+
+    @pytest.mark.parametrize("tau_sp, n, fraction, area, rf_during_pulse, states", [
+        (math.pi / 8 / 20, 8, 0.025, math.pi, True, 20113),  # lindblad-check's n = 8 row
+        (0.01, 4, 0.05, math.pi, True, 6289),
+        (0.05, 3, 0.025, 3.0, False, 7203),
+    ], ids=["check-row-8", "fraction-0.05", "drive-gated"])
+    def test_stays_positive_zero_from_the_ground_state(self, tau_sp, n, fraction, area, rf_during_pulse,
+                                                       states):
+        ion = IonConfig(1.0, tau_sp, n)
+        cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion, fraction, area, rf_during_pulse))
+        rhos = np.array([rho for _, rho in integrate_lindblad(cfg, GROUND3)])
+        sector = np.stack([rhos[:, 0, 1].real, rhos[:, 0, 2].real, rhos[:, 1, 2].imag])
+        assert sector.shape == (3, states)
+        assert sector.tobytes() == bytes(sector.nbytes)  # +0.0, bit for bit
+
+
 #: (n, tau_sp, fraction, rf_during_pulse) of the equispaced-schedule grid, at omega = 1.
 SCHEDULE_GRID = list(itertools.product(
     (1, 2, 3, 4, 7, 16, 31, 64), (0.1, 0.01), (0.025, 0.05, 0.3), (True, False)

@@ -1,12 +1,14 @@
 """Tests for sweeps, emission formats, and the runner config layer."""
 
 import dataclasses
+import importlib
 import io
 import json
 import math
 import pickle
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from zenosim import (
     NeutronRow,
     PulseSchedule,
     RunConfig,
+    ScheduleParams,
     SweepResult,
     SweepRow,
     emit,
@@ -112,6 +115,21 @@ class TestIonSweep:
         (row,) = result.rows
         assert row.p2_lindblad is not None
         assert row.p2_lindblad == pytest.approx(row.p2_projection, abs=0.05)
+
+    @pytest.mark.parametrize("params", [
+        ScheduleParams(), ScheduleParams(0.02, 3.0, False, 2e-4),
+    ], ids=["defaults", "gated-with-step"])
+    def test_schedule_setup_is_the_equispaced_setup(self, params):
+        ion = IonConfig(1.0, 0.01, 3)
+        pulses = PulseSchedule.equispaced(ion, params.pulse_duration_fraction, params.pulse_area,
+                                          params.rf_during_pulse)
+        assert params.setup(ion) == LindbladConfig(ion, pulses, params.integrator_step)
+        cfg = ion_config(n_list=(2, 3), ion_tau_sp=0.01, schedule=params, lindblad=True)
+        spy = mock.patch.object(ScheduleParams, "setup", autospec=True, side_effect=ScheduleParams.setup)
+        with spy as setup, mock.patch("zenosim.sweep.final_state", side_effect=AssertionError("integrated")):
+            with pytest.raises(AssertionError, match="integrated"):  # every row is set up first
+                run_ion_sweep(cfg)
+        assert setup.call_args_list == [mock.call(params, IonConfig(1.0, 0.01, n)) for n in (2, 3)]
 
     def test_lindblad_values_are_python_floats(self):
         # a float cell takes the CSV writer's one-test path; numpy's float64 would not
@@ -467,6 +485,76 @@ class TestConfigFile:
         path = self.write(tmp_path, "[ion]\nomega = inf\n")
         with pytest.raises(ConfigError, match="ion.omega"):
             parse_config(path)
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("ion", "omega", "1e309"),
+        ("ion", "tau_sp", "-1E+400"),
+        ("schedule", "pulse_area", "1E-400"),
+        ("schedule", "integrator_step", "1e309"),
+        ("neutron", "mu", "0.0001e-400"),
+    ], ids=["overflow", "negative-overflow", "underflow", "step-overflow", "fraction-underflow"])
+    def test_number_outside_float_range_quoted(self, tmp_path, section, key, raw):
+        # float() reads these as an infinity or a zero, which the text does not spell
+        assert float(raw) in (0.0, math.inf, -math.inf)
+        path = self.write(tmp_path, f"[{section}]\n{key} = {raw}\n")
+        message = f"{section}.{key}: outside the float range: {raw!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("raw, message", [  # inf, nan and 0 are config_cases.json's
+        ("-Infinity", "must be finite and > 0, got -inf"),
+        ("0e-400", "must be finite and > 0, got 0.0"),
+        ("1e-320", None),
+    ])
+    def test_spelt_infinity_zero_and_subnormal_read_as_before(self, tmp_path, raw, message):
+        path = self.write(tmp_path, f"[ion]\nomega = {raw}\n")
+        if message is None:
+            assert parse_config(path).ion_omega == float(raw) > 0
+            return
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'ion.omega: {message}')}$"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nomega = 1.0\n",  # would be dropped
+        "[DEFAULT]\nomega = 5\n[ion]\ntau_sp = 0.1\n",  # would be [ion]'s omega
+    ], ids=["alone", "inherited"])
+    def test_default_key_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"^DEFAULT\.omega: unknown key$"):
+            parse_config(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[schedule]\npulse_duration_fraction = 2\npulse_area = abc\n",
+         "schedule.pulse_area: not a number: 'abc'"),
+        ("[neutron]\nmu = -1\nb_field = abc\n", "neutron.b_field: not a number: 'abc'"),
+    ], ids=["schedule", "neutron"])
+    def test_text_fault_reported_before_an_earlier_keys_range_fault(self, tmp_path, text, message):
+        # [schedule] and [neutron] are read whole as text before their class checks any range
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(self.write(tmp_path, text))
+
+    def test_each_schedule_and_neutron_value_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+
+        def spy(check):
+            def counted(value, field):
+                checked.append(field)
+                return check(value, field)
+            return counted
+
+        for module in map(importlib.import_module, ("zenosim.config", "zenosim.dynamics", "zenosim.neutron")):
+            for name in ("check_positive", "check_fraction", "check_flag"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        path = self.write(
+            tmp_path,
+            "[schedule]\npulse_duration_fraction = 0.02\npulse_area = 3.0\nrf_during_pulse = off\n"
+            "integrator_step = 1e-4\n[neutron]\nmu = 0.25\nb_field = 0.8\nv0 = 1.5\ndelta_v = 0.5\n"
+            "mass = 2.0\n",
+        )
+        cfg = parse_config(path)
+        schedule = [f"schedule.{f.name}" for f in dataclasses.fields(cfg.schedule)]
+        neutron = [f"neutron.{f.name}" for f in dataclasses.fields(cfg.neutron)]  # energies derived
+        assert sorted(checked) == sorted(schedule + neutron)
 
     @pytest.mark.parametrize("spelling, value", [
         (word, value)
