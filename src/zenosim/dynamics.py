@@ -93,7 +93,8 @@ class ScheduleParams:
     ``pulse_area`` on the optical transition (pi by default), defaults that
     :meth:`PulseSchedule.equispaced` shares and checks as this class does: each
     value, ``integrator_step`` if given, is stored as the float its check returns,
-    under its ``schedule.*`` name.  Its fields are ``[schedule]``'s keys, checked only here.
+    under its ``schedule.*`` name.  Its fields are ``[schedule]``'s keys, and
+    :meth:`setup` passes the checked fraction and area on without a second check.
     """
 
     pulse_duration_fraction: float = 0.025
@@ -112,7 +113,7 @@ class ScheduleParams:
     def setup(self, ion: IonConfig) -> "LindbladConfig":
         """``ion``'s full-model setup: pulses equispaced under these knobs, and this step."""
         knobs = self.pulse_duration_fraction, self.pulse_area, self.rf_during_pulse
-        return LindbladConfig(ion, PulseSchedule.equispaced(ion, *knobs), self.integrator_step)
+        return LindbladConfig(ion, PulseSchedule._equispaced(ion, *knobs), self.integrator_step)
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,12 @@ class PulseSchedule:
         """
         duration_fraction = check_fraction(duration_fraction, "schedule.pulse_duration_fraction")
         pulse_area = check_positive(pulse_area, "schedule.pulse_area")
+        return cls._equispaced(ion, duration_fraction, pulse_area, rf_during_pulse)
+
+    @classmethod
+    def _equispaced(cls, ion: IonConfig, duration_fraction: float, pulse_area: float,
+                    rf_during_pulse: bool) -> "PulseSchedule":
+        """:meth:`equispaced` on a fraction and an area already checked as it checks them."""
         duration = duration_fraction * (ion.t_pi / ion.n_pulses)
         rabi = pulse_area / duration if duration else math.inf
         if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
@@ -230,17 +237,32 @@ def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
         past the float range, ``dt`` is negative or NaN, or the angle
         ``omega * dt`` is not finite.
     """
+    c, s = _cos_sin(omega, dt)
+    return BlochVector(*_rotate(_float_bloch(r0), c, s))
+
+
+def _cos_sin(omega, dt) -> tuple[float, float]:
+    """cos and sin of the angle ``omega * dt``, checked as :func:`evolve_bloch` states."""
     reals = real_floats((omega, dt))
     if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
         raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
-    r0 = _float_bloch(r0)
-    c, s = math.cos(angle), math.sin(angle)
-    return BlochVector(r0.r1, r0.r2 * c - r0.r3 * s, r0.r2 * s + r0.r3 * c)
+    return math.cos(angle), math.sin(angle)
+
+
+def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, float, float]:
+    """Floats (r1, r2, r3) rotated about the first axis by the angle of cosine ``c`` and sine ``s``."""
+    r1, r2, r3 = r
+    return r1, r2 * c - r3 * s, r2 * s + r3 * c
 
 
 def apply_projection(rho) -> "np.ndarray":
     """Projective population measurement: zero the coherences, keep the diagonal."""
-    return np.diag(as_density(rho).diagonal())
+    return _project(as_density(rho))
+
+
+def _project(rho: "np.ndarray") -> "np.ndarray":
+    """:func:`apply_projection` of a complex array, unchecked."""
+    return np.diag(rho.diagonal())
 
 
 def _segments(cfg: LindbladConfig):

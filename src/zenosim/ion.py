@@ -3,18 +3,19 @@
 ``p2_closed_form`` gives the upper-level population after N projective
 measurements during an inversion pulse, (1 - cos^N(pi/N))/2, and
 ``simulate_projective_sequence`` recomputes it by brute force from the Bloch
-rotation and the projection map.  The decoherence-limited variant clamps the
-per-interval rotation angle from below at omega * tau_sp, the smallest angle
-compatible with the measurement level's finite lifetime: beyond
-``n_max`` measurements the closed form saturates at one half instead of
-falling to zero.
+rotation and the projection map, checked once per call and stepped on those
+public maps' kernels with the norm check kept per state, for the maps' own bits.
+The decoherence-limited variant clamps the per-interval rotation angle from below
+at omega * tau_sp, the smallest angle compatible with the measurement level's
+finite lifetime: beyond ``n_max`` measurements the closed form saturates at one
+half instead of falling to zero.
 """
 
 import math
 
-from .dynamics import IonConfig, apply_projection, evolve_bloch
+from .dynamics import IonConfig, _cos_sin, _project, _rotate
 from .errors import BoundViolationError, check_count, floor_count
-from .states import BlochVector, bloch_from_density, density_from_bloch
+from .states import _bloch, _check_norm, _density
 
 #: Absolute agreement demanded of the three-level simulation against the
 #: projective closed form when the measurement lifetime is well separated
@@ -48,13 +49,19 @@ def simulate_projective_sequence(cfg: IonConfig) -> float:
     T/N and applies the projective measurement through the density-matrix
     map, N times, then reads off the upper-level population (r3 + 1)/2, a
     plain Python float.
+
+    Its checks run once per call: ``cfg``'s fields are checked floats, and
+    omega T/N must be finite (else ValueError).  Each step runs the kernels of
+    ``evolve_bloch``, ``density_from_bloch``, ``apply_projection`` and
+    ``bloch_from_density``, so the value has the bits of calling them in turn,
+    and keeps the one check whose input changes per step: a rotated vector whose
+    norm exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN, raises NonphysicalStateError.
     """
-    r = BlochVector(0.0, 0.0, -1.0)
-    dt = cfg.t_pi / cfg.n_pulses
+    r = 0.0, 0.0, -1.0  # (r1, r2, r3): the kernels take and give plain tuples
+    c, s = _cos_sin(cfg.omega, cfg.t_pi / cfg.n_pulses)
     for _ in range(cfg.n_pulses):
-        r = evolve_bloch(r, cfg.omega, dt)
-        r = bloch_from_density(apply_projection(density_from_bloch(r)))
-    return (r.r3 + 1.0) / 2.0
+        r = _bloch(_project(_density(_check_norm(_rotate(r, c, s)))).tolist())
+    return (r[2] + 1.0) / 2.0
 
 
 def n_max(cfg: IonConfig) -> int:

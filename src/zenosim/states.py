@@ -8,14 +8,16 @@ Bloch vector (r1, r2, r3) with
     r3 = rho_22 - rho_11,
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
-The Bloch helpers read each real number as a Python float by ``errors.real_floats``.
+The Bloch helpers read each real number as a Python float by ``errors.real_floats``,
+check it, and map it by an unchecked kernel on plain (r1, r2, r3) tuples, ``_density``
+or ``_bloch``; the oracle ``ion.simulate_projective_sequence`` keeps ``_check_norm`` alone.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
-The per-state checks run once per stored state or oracle step, so each keeps
-its numpy calls few; their values, decisions and messages are the array
-formulas' own.  Both skip the residue of a state equal entry by entry to its
-adjoint, as every integrated and oracle state is; every other state takes it
-from :func:`hermiticity_residue`.
+The per-state checks can run once per stored state, so each keeps its numpy
+calls few; their values, decisions and messages are the array formulas' own.
+Both skip the residue of a state equal entry by entry to its adjoint, as every
+integrated and projected state is; every other state takes it from
+:func:`hermiticity_residue`.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
@@ -189,8 +191,8 @@ def bloch_from_density(rho) -> BlochVector:
     rho = as_density(rho)
     if rho.shape != (2, 2):
         raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    (rho_11, rho_12), (rho_21, rho_22) = rho.tolist()
-    r1, r2, r3 = (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
+    (rho_11, rho_12), (rho_21, rho_22) = rows = rho.tolist()
+    r1, r2, r3 = _bloch(rows)
     exact = rho_12 == rho_21.conjugate() and rho_11.imag == 0 == rho_22.imag
     if not (exact and math.isfinite(r1 + r2 + r3)):
         herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
@@ -199,6 +201,12 @@ def bloch_from_density(rho) -> BlochVector:
         if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
             raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
     return BlochVector(r1, r2, r3)
+
+
+def _bloch(rows) -> tuple[float, float, float]:
+    """(r1, r2, r3) of a 2x2 state's ``tolist()`` rows, unchecked."""
+    (rho_11, rho_12), (rho_21, rho_22) = rows
+    return (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
 
 
 def density_from_bloch(r: BlochVector) -> "np.ndarray":
@@ -213,10 +221,18 @@ def density_from_bloch(r: BlochVector) -> "np.ndarray":
     NonphysicalStateError
         If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
     """
-    r = _float_bloch(r)
-    if not r.norm() <= 1.0 + BLOCH_NORM_TOL:
-        raise NonphysicalStateError(
-            f"Bloch vector norm {r.norm():.12g} exceeds 1"
-        )
-    entries = (1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0, (r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0
+    return _density(_check_norm(_float_bloch(r)))
+
+
+def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
+    """``r`` unless its norm exceeds 1 beyond ``BLOCH_NORM_TOL`` or is NaN: NonphysicalStateError."""
+    if not (norm := math.hypot(*r)) <= 1.0 + BLOCH_NORM_TOL:
+        raise NonphysicalStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
+    return r
+
+
+def _density(r: tuple[float, float, float]) -> "np.ndarray":
+    """The 2x2 density matrix of floats (r1, r2, r3), unchecked."""
+    r1, r2, r3 = r
+    entries = (1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0, (r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0
     return np.array(entries, dtype=complex).reshape(2, 2)  # flat: nested rows take longer to read

@@ -25,6 +25,7 @@ from zenosim import (
     IonConfig,
     LindbladConfig,
     PulseSchedule,
+    ScheduleParams,
     apply_projection,
     bloch_from_density,
     density_from_bloch,
@@ -445,6 +446,26 @@ class TestConfigs:
         with mock.patch("zenosim.dynamics.MAX_STEPS", 1500):
             with pytest.raises(ConfigError, match=r"2.63e\+03 steps over t_pi"):
                 LindbladConfig(ion, sched)
+
+    def test_schedule_setup_checks_fraction_and_area_once(self, monkeypatch):
+        # ScheduleParams has checked both, so setup reaches the equispaced kernel directly
+        params, ion = ScheduleParams(0.02, 3.0), IonConfig(1.0, 0.01, 3)
+        expected, positive = params.setup(ion), zenosim.dynamics.check_positive
+
+        def refuse(value, field):
+            raise AssertionError(f"{field} checked again")
+
+        monkeypatch.setattr("zenosim.dynamics.check_fraction", refuse)
+        monkeypatch.setattr(
+            "zenosim.dynamics.check_positive",
+            lambda value, field: refuse(value, field) if field == "schedule.pulse_area" else positive(value, field),
+        )
+        assert params.setup(ion) == expected
+        with pytest.raises(AssertionError, match="^schedule.pulse_duration_fraction checked again$"):
+            PulseSchedule.equispaced(ion, 0.02, 3.0)  # library callers are still checked
+        monkeypatch.setattr("zenosim.dynamics.check_fraction", lambda value, field: value)
+        with pytest.raises(AssertionError, match="^schedule.pulse_area checked again$"):
+            PulseSchedule.equispaced(ion, 0.02, 3.0)
 
     def test_schedule_must_end_with_drive(self):
         # The last pulse ends at t_pi by construction; a schedule built for

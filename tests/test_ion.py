@@ -1,19 +1,28 @@
 """Tests for the ion closed forms and their brute-force oracle."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from zenosim import (
+    BlochVector,
     BoundViolationError,
     IonConfig,
+    NonphysicalStateError,
+    apply_projection,
+    bloch_from_density,
+    density_from_bloch,
+    evolve_bloch,
     n_max,
     p2_asymptotic,
     p2_closed_form,
     p2_decoherence_limited,
     simulate_projective_sequence,
 )
+
+ion_module = importlib.import_module("zenosim.ion")
 
 
 def ion_with_product(product: float, n: int = 1) -> IonConfig:
@@ -85,6 +94,47 @@ class TestProjectiveOracle:
             assert simulate_projective_sequence(cfg) == pytest.approx(
                 p2_closed_form(16), abs=1e-12
             )
+
+
+def public_map_loop(cfg: IonConfig) -> float:
+    """The oracle as a loop over the four public maps, each checking its inputs on every step."""
+    r = BlochVector(0.0, 0.0, -1.0)
+    dt = cfg.t_pi / cfg.n_pulses
+    for _ in range(cfg.n_pulses):
+        r = evolve_bloch(r, cfg.omega, dt)
+        r = bloch_from_density(apply_projection(density_from_bloch(r)))
+    return (r.r3 + 1.0) / 2.0
+
+
+#: Every count to 50, and counts spread to 400, kept to ~15,000 oracle steps.
+ORACLE_COUNTS = (*range(1, 51), 64, 100, 127, 128, 150, 200, 256, 301, 400)
+
+
+class TestOracleOnKernels:
+    """The oracle checks once and steps on the public maps' kernels: the same bits, the norm check kept."""
+
+    @pytest.mark.parametrize("omega", [3e-4, 0.25, 1.0, 7.5, 1e3])
+    def test_same_bits_as_public_maps(self, omega):
+        for n in ORACLE_COUNTS:
+            cfg = IonConfig(omega, 0.01, n)
+            got = simulate_projective_sequence(cfg)
+            assert type(got) is float and got == public_map_loop(cfg), n
+
+    def test_norm_check_runs_on_every_step(self, monkeypatch):
+        rotate = ion_module._rotate
+        monkeypatch.setattr(
+            ion_module, "_rotate", lambda r, c, s: tuple(x * (1 + 1e-9) for x in rotate(r, c, s))
+        )
+        with pytest.raises(NonphysicalStateError, match="exceeds 1"):
+            simulate_projective_sequence(ion_with_product(0.01, 4))
+
+    def test_non_finite_angle_refused_as_evolve_bloch_refuses(self):
+        cfg = IonConfig(1e-310, 0.01, 4)  # t_pi = pi/omega overflows
+        with pytest.raises(ValueError) as expected:
+            public_map_loop(cfg)
+        with pytest.raises(ValueError) as refused:
+            simulate_projective_sequence(cfg)
+        assert str(refused.value) == str(expected.value)
 
 
 class TestNMax:
