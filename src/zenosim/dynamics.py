@@ -257,12 +257,12 @@ def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, f
 
 def apply_projection(rho) -> "np.ndarray":
     """Projective population measurement: zero the coherences, keep the diagonal."""
-    return _project(as_density(rho))
+    return np.array(_project(as_density(rho).tolist()), dtype=complex)
 
 
-def _project(rho: "np.ndarray") -> "np.ndarray":
-    """:func:`apply_projection` of a complex array, unchecked."""
-    return np.diag(rho.diagonal())
+def _project(rows) -> list:
+    """The rows of a square matrix with its diagonal kept and ``0j`` elsewhere, unchecked."""
+    return [(0j,) * i + (row[i],) + (0j,) * (len(row) - 1 - i) for i, row in enumerate(rows)]
 
 
 def _segments(cfg: LindbladConfig):

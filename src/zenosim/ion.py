@@ -3,8 +3,8 @@
 ``p2_closed_form`` gives the upper-level population after N projective
 measurements during an inversion pulse, (1 - cos^N(pi/N))/2, and
 ``simulate_projective_sequence`` recomputes it by brute force from the Bloch
-rotation and the projection map, checked once per call and stepped on those
-public maps' kernels with the norm check kept per state, for the maps' own bits.
+rotation and the projection map, checked once per call and stepped on those maps'
+numpy-free kernels with the norm check kept per state, for the maps' own bits.
 The decoherence-limited variant clamps the per-interval rotation angle from below
 at omega * tau_sp, the smallest angle compatible with the measurement level's
 finite lifetime: beyond ``n_max`` measurements the closed form saturates at one
@@ -53,14 +53,14 @@ def simulate_projective_sequence(cfg: IonConfig) -> float:
     Its checks run once per call: ``cfg``'s fields are checked floats, and
     omega T/N must be finite (else ValueError).  Each step runs the kernels of
     ``evolve_bloch``, ``density_from_bloch``, ``apply_projection`` and
-    ``bloch_from_density``, so the value has the bits of calling them in turn,
+    ``bloch_from_density`` on plain Python numbers, so the value has those maps' bits,
     and keeps the one check whose input changes per step: a rotated vector whose
     norm exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN, raises NonphysicalStateError.
     """
-    r = 0.0, 0.0, -1.0  # (r1, r2, r3): the kernels take and give plain tuples
+    r = 0.0, 0.0, -1.0  # (r1, r2, r3): the kernels take and give plain Python numbers
     c, s = _cos_sin(cfg.omega, cfg.t_pi / cfg.n_pulses)
     for _ in range(cfg.n_pulses):
-        r = _bloch(_project(_density(_check_norm(_rotate(r, c, s)))).tolist())
+        r = _bloch(_project(_density(_check_norm(_rotate(r, c, s)))))
     return (r[2] + 1.0) / 2.0
 
 

@@ -9,8 +9,9 @@ Bloch vector (r1, r2, r3) with
 
 so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
 The Bloch helpers read each real number as a Python float by ``errors.real_floats``,
-check it, and map it by an unchecked kernel on plain (r1, r2, r3) tuples, ``_density``
-or ``_bloch``; the oracle ``ion.simulate_projective_sequence`` keeps ``_check_norm`` alone.
+check it, and map it by an unchecked kernel on plain Python numbers, ``_density`` from
+(r1, r2, r3) to rows ((rho_11, rho_12), (rho_21, rho_22)) or ``_bloch`` back; arrays exist
+only at the public maps' boundary, and ``ion.simulate_projective_sequence`` runs no numpy.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
 The per-state checks can run once per stored state, so each keeps its numpy
@@ -21,9 +22,9 @@ integrated and projected state is; every other state takes it from
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
-attribute access (the recipe of the ``importlib`` documentation), so the
-closed forms and the command-line tables never load numpy or start its BLAS
-threads; ``dynamics`` shares the binding.  Annotations naming ``np.ndarray``
+attribute access (the recipe of the ``importlib`` documentation), so the closed
+forms, the Bloch oracle and the command-line tables never load numpy or start its
+BLAS threads; ``dynamics`` shares the binding.  Annotations naming ``np.ndarray``
 are quoted, since an annotation is evaluated when its function is defined.
 Before CPython gh-114763 was fixed (3.11 does not have the fix) LazyLoader was
 not safe against two threads making the first access at once: a threaded
@@ -204,7 +205,7 @@ def bloch_from_density(rho) -> BlochVector:
 
 
 def _bloch(rows) -> tuple[float, float, float]:
-    """(r1, r2, r3) of a 2x2 state's ``tolist()`` rows, unchecked."""
+    """(r1, r2, r3) of a 2x2 state's rows of Python numbers, unchecked."""
     (rho_11, rho_12), (rho_21, rho_22) = rows
     return (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
 
@@ -221,7 +222,7 @@ def density_from_bloch(r: BlochVector) -> "np.ndarray":
     NonphysicalStateError
         If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
     """
-    return _density(_check_norm(_float_bloch(r)))
+    return np.array(_density(_check_norm(_float_bloch(r))), dtype=complex)
 
 
 def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -231,8 +232,7 @@ def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
     return r
 
 
-def _density(r: tuple[float, float, float]) -> "np.ndarray":
-    """The 2x2 density matrix of floats (r1, r2, r3), unchecked."""
+def _density(r: tuple[float, float, float]) -> tuple:
+    """The 2x2 density matrix of floats (r1, r2, r3) as rows of Python numbers, unchecked."""
     r1, r2, r3 = r
-    entries = (1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0, (r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0
-    return np.array(entries, dtype=complex).reshape(2, 2)  # flat: nested rows take longer to read
+    return ((1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0), ((r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0)

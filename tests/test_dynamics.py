@@ -1,5 +1,6 @@
 """Tests for Bloch precession, the projection map, and the Lindblad integrator."""
 
+import functools
 import itertools
 import math
 import os
@@ -54,14 +55,20 @@ from zenosim.states import hermiticity_residue, validate_density
 SRC = str(Path(zenosim.__file__).resolve().parents[1])
 GROUND3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
 AUX3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-#: The white-box gate tests' trajectory: one segment of 4500 steps of 0.01, state k at k * 0.01,
-#: more states than one chunk holds.
-GATE_CFG = LindbladConfig(IonConfig(math.pi / 45, 1e3, 1), integrator_step=0.01)
 #: A state with two eigenvalues -NEGATIVE inside the tolerance: the decay of
 #: level 2 pours its share into level 0, so the smallest eigenvalue falls to
 #: about -2 NEGATIVE, still inside it, and keeps falling while level 2 decays.
 NEGATIVE = 0.4e-8
 LEAKY3 = np.diag([-NEGATIVE, 1.0 + 2.0 * NEGATIVE, -NEGATIVE]).astype(complex)
+
+
+@functools.cache
+def gate_cfg() -> LindbladConfig:
+    """One segment of 4500 steps of 0.01, state k at k * 0.01, more states than one chunk holds.
+
+    The white-box gate tests' trajectory, built on first use: a config fault fails only the tests that read it.
+    """
+    return LindbladConfig(IonConfig(math.pi / 45, 1e3, 1), integrator_step=0.01)
 
 
 def coordinate_maps() -> tuple[np.ndarray, np.ndarray]:
@@ -230,9 +237,9 @@ def gate_outcome(cfg: LindbladConfig, first: int, rows: np.ndarray) -> tuple[str
 
 
 def rho0_outcome(rho0: np.ndarray) -> tuple[str, float] | None:
-    """The verdict on ``rho0`` of ``GATE_CFG``'s integration, in :func:`reference_gate`'s terms."""
+    """The verdict on ``rho0`` of ``gate_cfg()``'s integration, in :func:`reference_gate`'s terms."""
     try:
-        first, rows = next(_trajectory_chunks(GATE_CFG, rho0))
+        first, rows = next(_trajectory_chunks(gate_cfg(), rho0))
     except IntegrationError as err:
         return err.message, err.time
     assert first == 0
@@ -598,7 +605,7 @@ class TestIntegrateLindblad:
         trace_and_positivity = np.diag([1.5, -0.4, 0.0]).astype(complex)
 
         def gate(stack):  # the chunk from rho0: times 0.0, 0.01, 0.02, ...
-            _validate_block(GATE_CFG, 0, to_x(stack))
+            _validate_block(gate_cfg(), 0, to_x(stack))
 
         cases = [
             ([good, negative, trace_and_positivity], "positivity (min eig -5.000e-01)", 0.01),
@@ -614,7 +621,7 @@ class TestIntegrateLindblad:
         everything[0, 1] = 1e-3  # all three checks
         for run in (integrate_lindblad, final_state):
             with pytest.raises(IntegrationError) as err:
-                run(GATE_CFG, everything)
+                run(gate_cfg(), everything)
             assert (err.value.message, err.value.time) == ("state lost Hermiticity (residue 1.000e-03)", 0.0)
 
     def test_failure_reported_at_earliest_state(self):
@@ -1021,7 +1028,7 @@ class TestGate:
         for name, states in probes.items():  # each alone as rho0, whose checks include Hermiticity
             seen = set()
             for probe in states:
-                want = reference_gate(GATE_CFG, 0, probe.reshape(1, 9))
+                want = reference_gate(gate_cfg(), 0, probe.reshape(1, 9))
                 assert rho0_outcome(probe) == want, want
                 seen.add(check(want))
             if name != "far":  # the probes straddle the tolerance
@@ -1034,8 +1041,8 @@ class TestGate:
             rows = to_x(densities(rng, size))
             for at in rng.choice(size, size=min(size, int(rng.integers(0, 4))), replace=False):
                 rows[at] = pool[rng.integers(len(pool))]
-            want = reference_gate(GATE_CFG, 1, from_x(rows))
-            assert gate_outcome(GATE_CFG, 1, rows) == want, want
+            want = reference_gate(gate_cfg(), 1, from_x(rows))
+            assert gate_outcome(gate_cfg(), 1, rows) == want, want
             seen.add(check(want))
         assert seen == {None, "state lost unit trace", "state lost positivity"}
 
@@ -1049,7 +1056,7 @@ class TestGate:
                 lost = f"unit trace (residue {abs(value):.3e})"
             else:
                 lost = "positivity (min eig nan)"
-            assert gate_outcome(GATE_CFG, 0, rows) == (f"state lost {lost}", 0.03), (k, value)
+            assert gate_outcome(gate_cfg(), 0, rows) == (f"state lost {lost}", 0.03), (k, value)
 
     def test_residue_is_hermiticity_residue(self):
         # A tolerance patched to a state's hermiticity_residue passes its

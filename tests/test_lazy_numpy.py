@@ -29,6 +29,9 @@ for argv in (
     ["validate", "--config", cfg],
 ):
     assert cli.main(argv) == 0, argv
+for n in (1, 2, 7, 64):  # the Bloch oracle steps on plain rows
+    p2 = ion.simulate_projective_sequence(dynamics.IonConfig(1.0, 0.01, n))
+    assert abs(p2 - ion.p2_closed_form(n)) < 1e-9, n
 print(sorted(name for name in sys.modules if name.startswith("numpy.")))
 """
 

@@ -2,6 +2,7 @@
 whole-list count check, the rule for a physical parameter, which stores every accepted value
 as a Python float, and the rule for a flag, which stores it as a bool."""
 
+import functools
 import io
 import json
 import math
@@ -218,7 +219,12 @@ def test_check_counts_agrees_with_check_count(values):
 
 
 NEUTRON_ENERGIES = {"delta_e_m": 0.4, "delta_e_k": 1.0}
-SLOW_ION = IonConfig(0.01, 100.0, 1)  # step bound 5: each accepted value below is a valid step
+
+
+@functools.cache
+def slow_ion() -> IonConfig:
+    """Step bound 5, so each accepted value below is a valid step; built on first use."""
+    return IonConfig(0.01, 100.0, 1)
 
 
 def neutron_with(name):
@@ -231,10 +237,10 @@ LIBRARY = {
     "ion.tau_sp": lambda value: IonConfig(1.0, value, 2),
     "schedule.optical_pulse_duration": lambda value: PulseSchedule(value, 10.0),
     "schedule.optical_rabi": lambda value: PulseSchedule(0.01, value),
-    "schedule.pulse_area": lambda value: PulseSchedule.equispaced(SLOW_ION, pulse_area=value),
-    "schedule.integrator_step": lambda value: LindbladConfig(SLOW_ION, integrator_step=value),
+    "schedule.pulse_area": lambda value: PulseSchedule.equispaced(slow_ion(), pulse_area=value),
+    "schedule.integrator_step": lambda value: LindbladConfig(slow_ion(), integrator_step=value),
     "schedule.pulse_duration_fraction": lambda value: PulseSchedule.equispaced(
-        SLOW_ION, duration_fraction=value
+        slow_ion(), duration_fraction=value
     ),
     **{f"neutron.{f.name}": neutron_with(f.name) for f in fields(NeutronConfig)},
     "phi0": lambda value: p_up_limited(3, value),
@@ -403,7 +409,7 @@ def ion_sweep(lindblad):
 @pytest.mark.parametrize("value", NON_BOOLEAN, ids=repr)
 def test_non_boolean_rf_during_pulse_refused(value):
     message = f"schedule.rf_during_pulse: must be True or False, got {value!r}"
-    assert refusal(PulseSchedule.equispaced, SLOW_ION, 0.025, math.pi, value) == (
+    assert refusal(PulseSchedule.equispaced, slow_ion(), 0.025, math.pi, value) == (
         "schedule.rf_during_pulse", message
     )
 
@@ -424,7 +430,7 @@ def test_schedule_params_rf_during_pulse_refused_without_lindblad(value):
 
 @pytest.mark.parametrize("value", BOOLEAN, ids=repr)
 def test_boolean_rf_during_pulse_stored_as_bool(value):
-    stored = PulseSchedule.equispaced(SLOW_ION, rf_during_pulse=value).rf_during_pulse
+    stored = PulseSchedule.equispaced(slow_ion(), rf_during_pulse=value).rf_during_pulse
     assert stored is bool(value)
     assert ScheduleParams(rf_during_pulse=value).rf_during_pulse is bool(value)
 

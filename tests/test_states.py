@@ -47,6 +47,14 @@ def random_bloch(rng, norm_cap=1.0):
     return BlochVector(*v)
 
 
+#: Parts that a copy must carry bit for bit: zeros of both signs, NaNs of both signs and infinities.
+EDGE_PARTS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.25, 5e-324)
+
+
+def _array_bits(a):
+    return type(a), a.dtype, a.shape, a.flags.writeable, a.tobytes()
+
+
 class TestBlochFromDensity:
     def test_ground_state(self):
         assert bloch_from_density(GROUND) == (0.0, 0.0, -1.0)
@@ -138,13 +146,13 @@ class TestDensityFromBloch:
 
     def test_same_bytes_as_nested_rows(self):
         rng = np.random.default_rng(25)
-        vectors = [random_bloch(rng) for _ in range(200)]
-        vectors += list(itertools.product([0.0, -0.0, 0.5], repeat=3))  # signed zeros
+        vectors = [random_bloch(rng) for _ in range(200)] + [(0.0, 0.0, -1.0), (1.0, 0.0, 0.0)]
+        vectors += list(itertools.product([0.0, -0.0, 0.5, 5e-324], repeat=3))  # signed zeros, a subnormal
         for r in (BlochVector(*map(float, v)) for v in vectors):
-            want = np.array([[(1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0],
-                             [(r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0]], dtype=complex)
-            got = density_from_bloch(r)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), r
+            flat = (1.0 - r.r3) / 2.0, (r.r1 - 1j * r.r2) / 2.0, (r.r1 + 1j * r.r2) / 2.0, (1.0 + r.r3) / 2.0
+            want = np.array([flat[:2], flat[2:]], dtype=complex)
+            former = np.array(flat, dtype=complex).reshape(2, 2)
+            assert _array_bits(density_from_bloch(r)) == _array_bits(want) == _array_bits(former), r
 
     def test_norm_tolerance_edge_accepted(self):
         density_from_bloch(BlochVector(1.0 + BLOCH_NORM_TOL / 2, 0.0, 0.0))
@@ -469,3 +477,27 @@ class TestSameBitsAsArrayFormulas:
         for rho in self.STATES:
             got, want = apply_projection(rho), _array_projection(rho)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestApplyProjectionBits:
+    """``apply_projection`` returns a new writeable ``np.diag`` of the state's diagonal, bit for bit."""
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writeable", "read-only"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_arrays(self, dim, read_only):
+        rng = np.random.default_rng(dim)
+        for real, imag in rng.choice(EDGE_PARTS, size=(400, 2, dim, dim)):
+            rho = np.empty((dim, dim), dtype=complex)
+            rho.real, rho.imag = real, imag
+            rho.flags.writeable = not read_only
+            before = rho.tobytes()
+            got, want = apply_projection(rho), np.diag(as_density(rho).diagonal())
+            assert _array_bits(got) == _array_bits(want), rho
+            assert _array_bits(got)[:4] == (np.ndarray, np.dtype(complex), (dim, dim), True)
+            assert not np.shares_memory(got, rho) and rho.tobytes() == before
+
+    @pytest.mark.parametrize("rho", [[[-0.0, 1], [2, math.nan]],
+                                     [[math.inf, 0, 0], [0, -0.0, 0], [0, 0, -math.inf]],
+                                     ((complex(-0.0, -0.0), 3j), (4j, complex(math.nan, -math.inf)))], ids=repr)
+    def test_nested_sequences(self, rho):
+        assert _array_bits(apply_projection(rho)) == _array_bits(np.diag(as_density(rho).diagonal()))

@@ -209,8 +209,16 @@ def json_rows(result: SweepResult) -> tuple:
     return load_result(buffer).rows
 
 
-ION_TABLE = run_ion_sweep(ion_config(n_list=(1, 2, 31, 32, 100)))
-NEUTRON_TABLE = run_neutron_sweep(neutron_config(n_list=(1, 2, 15, 16, 40)))
+@functools.cache
+def ion_table() -> SweepResult:
+    """A five-row ion table, built on first use: a closed-form fault fails only the tests that read it."""
+    return run_ion_sweep(ion_config(n_list=(1, 2, 31, 32, 100)))
+
+
+@functools.cache
+def neutron_table() -> SweepResult:
+    """A five-row neutron table, built on first use."""
+    return run_neutron_sweep(neutron_config(n_list=(1, 2, 15, 16, 40)))
 
 
 @functools.cache
@@ -225,12 +233,12 @@ class TestRecordRows:
     @pytest.mark.parametrize(
         "read_rows",
         [
-            lambda: ION_TABLE.rows,
+            lambda: ion_table().rows,
             lambda: lindblad_table().rows,
-            lambda: NEUTRON_TABLE.rows,
-            lambda: json_rows(ION_TABLE),
+            lambda: neutron_table().rows,
+            lambda: json_rows(ion_table()),
             lambda: json_rows(lindblad_table()),
-            lambda: json_rows(NEUTRON_TABLE),
+            lambda: json_rows(neutron_table()),
         ],
         ids=["ion", "lindblad", "neutron", "ion-json", "lindblad-json", "neutron-json"],
     )
@@ -257,8 +265,8 @@ class TestRecordRows:
         assert not hasattr(row_type, "__post_init__")
 
     def test_reordered_keys_read_in_field_order(self):
-        row = ION_TABLE.rows[0]
-        payload = {"metadata": ION_TABLE.metadata, "rows": [dict(reversed(vars(row).items()))]}
+        row = ion_table().rows[0]
+        payload = {"metadata": ion_table().metadata, "rows": [dict(reversed(vars(row).items()))]}
         back = load_result(io.StringIO(json.dumps(payload)))
         assert back.rows == (row,)
         assert list(vars(back.rows[0])) == list(vars(row))
@@ -269,7 +277,7 @@ class TestRecordRows:
     @pytest.mark.parametrize("row_type", [SweepRow, NeutronRow])
     @pytest.mark.parametrize("change", ["extra", "missing"])
     def test_other_keys_refused_as_the_constructor_refuses(self, row_type, change):
-        table = ION_TABLE if row_type is SweepRow else NEUTRON_TABLE
+        table = ion_table() if row_type is SweepRow else neutron_table()
         entry = dict(vars(table.rows[0]))
         if change == "extra":
             entry["extra"] = 1
