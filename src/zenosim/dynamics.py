@@ -90,11 +90,11 @@ class ScheduleParams:
     """Optical measurement-pulse knobs shared by all rows of a sweep.
 
     Pulses last ``pulse_duration_fraction`` of the measurement spacing and carry
-    ``pulse_area`` on the optical transition (pi by default), defaults that
-    :meth:`PulseSchedule.equispaced` shares and checks as this class does: each
-    value, ``integrator_step`` if given, is stored as the float its check returns,
-    under its ``schedule.*`` name.  Its fields are ``[schedule]``'s keys, and
-    :meth:`setup` passes the checked fraction and area on without a second check.
+    ``pulse_area`` on the optical transition (pi by default).  Each value,
+    ``integrator_step`` if given, is stored as the float its check returns, under
+    its ``schedule.*`` name.  Its fields are ``[schedule]``'s keys.  ``_pulses`` is
+    the one equispaced-pulse builder, on these checked fields: :meth:`setup` calls
+    it, and :meth:`PulseSchedule.equispaced` builds one of these to check its arguments.
     """
 
     pulse_duration_fraction: float = 0.025
@@ -112,8 +112,20 @@ class ScheduleParams:
 
     def setup(self, ion: IonConfig) -> "LindbladConfig":
         """``ion``'s full-model setup: pulses equispaced under these knobs, and this step."""
-        knobs = self.pulse_duration_fraction, self.pulse_area, self.rf_during_pulse
-        return LindbladConfig(ion, PulseSchedule._equispaced(ion, *knobs), self.integrator_step)
+        return LindbladConfig(ion, self._pulses(ion), self.integrator_step)
+
+    def _pulses(self, ion: IonConfig) -> "PulseSchedule":
+        """The schedule of :meth:`PulseSchedule.equispaced` for ``ion`` under these knobs."""
+        duration = self.pulse_duration_fraction * (ion.t_pi / ion.n_pulses)
+        rabi = self.pulse_area / duration if duration else math.inf
+        if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
+            short = rabi == math.inf and (not duration or math.pi / duration == math.inf)
+            raise ConfigError(
+                f"gives an optical Rabi frequency {self.pulse_area:.3g}/{duration:.3g} that "
+                + ("overflows" if rabi else "underflows"),
+                field="schedule.pulse_duration_fraction" if short else "schedule.pulse_area",
+            )
+        return PulseSchedule(duration, rabi, self.rf_during_pulse)
 
 
 @dataclass(frozen=True)
@@ -152,26 +164,10 @@ class PulseSchedule:
         (a pi pulse by default).  The default fraction keeps the decay during
         a pulse weak (gamma * duration <= 1) so the pulse is not overdamped;
         overdamping suppresses the optical transfer and weakens the
-        measurement itself.
+        measurement itself.  The arguments are checked as the fields of the
+        :class:`ScheduleParams` built from them, under the same names.
         """
-        duration_fraction = check_fraction(duration_fraction, "schedule.pulse_duration_fraction")
-        pulse_area = check_positive(pulse_area, "schedule.pulse_area")
-        return cls._equispaced(ion, duration_fraction, pulse_area, rf_during_pulse)
-
-    @classmethod
-    def _equispaced(cls, ion: IonConfig, duration_fraction: float, pulse_area: float,
-                    rf_during_pulse: bool) -> "PulseSchedule":
-        """:meth:`equispaced` on a fraction and an area already checked as it checks them."""
-        duration = duration_fraction * (ion.t_pi / ion.n_pulses)
-        rabi = pulse_area / duration if duration else math.inf
-        if rabi in (0, math.inf):  # an overflow that even a pi area gives is the fraction's fault
-            short = rabi == math.inf and (not duration or math.pi / duration == math.inf)
-            raise ConfigError(
-                f"gives an optical Rabi frequency {pulse_area:.3g}/{duration:.3g} that "
-                + ("overflows" if rabi else "underflows"),
-                field="schedule.pulse_duration_fraction" if short else "schedule.pulse_area",
-            )
-        return cls(duration, rabi, rf_during_pulse)
+        return ScheduleParams(duration_fraction, pulse_area, rf_during_pulse)._pulses(ion)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ check it, and map it by an unchecked kernel on plain Python numbers, ``_density`
 only at the public maps' boundary, and ``ion.simulate_projective_sequence`` runs no numpy.
 Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
 too, and each residue is compared as ``not residue <= tol``, so NaN fails.
-The per-state checks can run once per stored state, so each keeps its numpy
-calls few; their values, decisions and messages are the array formulas' own.
-Both skip the residue of a state equal entry by entry to its adjoint, as every
-integrated and projected state is; every other state takes it from
+The per-state checks' values, decisions and messages are the array formulas' own.
+:func:`validate_density` can run once per stored state, so it keeps its numpy
+calls few and skips the residue of a state equal entry by entry to its adjoint,
+as every integrated and projected state is; every other state takes it from
 :func:`hermiticity_residue`.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
@@ -176,12 +176,6 @@ def validate_density(rho) -> Diagnostics:
 def bloch_from_density(rho) -> BlochVector:
     """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
 
-    A state equal entry by entry to the conjugate of its transpose (NaN never
-    is), with real diagonal entries and real Bloch components of finite sum,
-    has residue zero and is mapped with no residue arithmetic.  Any other is
-    decided and worded by :func:`hermiticity_residue`, and then by the
-    finiteness of its Bloch vector.
-
     Raises
     ------
     InvalidStateError
@@ -192,15 +186,12 @@ def bloch_from_density(rho) -> BlochVector:
     rho = as_density(rho)
     if rho.shape != (2, 2):
         raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    (rho_11, rho_12), (rho_21, rho_22) = rows = rho.tolist()
-    r1, r2, r3 = _bloch(rows)
-    exact = rho_12 == rho_21.conjugate() and rho_11.imag == 0 == rho_22.imag
-    if not (exact and math.isfinite(r1 + r2 + r3)):
-        herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
-        if not herm <= HERMITICITY_TOL:
-            raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-        if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
-            raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
+    herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
+    r1, r2, r3 = _bloch(rho.tolist())
+    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
+        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
     return BlochVector(r1, r2, r3)
 
 

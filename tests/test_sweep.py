@@ -132,6 +132,19 @@ class TestIonSweep:
                 run_ion_sweep(cfg)
         assert setup.call_args_list == [mock.call(params, IonConfig(1.0, 0.01, n)) for n in (2, 3)]
 
+    @pytest.mark.parametrize("fraction, area, field, verb", [
+        (1e-320, math.pi, "schedule.pulse_duration_fraction", "overflows"),
+        (0.9, 5e-324, "schedule.pulse_area", "underflows"),
+    ], ids=["rabi-overflow", "rabi-underflow"])
+    def test_schedule_setup_refuses_as_equispaced(self, fraction, area, field, verb):
+        ion, refusals = IonConfig(1.0, 0.01, 1), []
+        for build in (lambda: PulseSchedule.equispaced(ion, fraction, area),
+                      lambda: ScheduleParams(fraction, area).setup(ion)):
+            with pytest.raises(ConfigError, match=f"^{field}: gives an optical Rabi frequency .* {verb}$") as info:
+                build()
+            refusals.append((info.value.field, str(info.value)))
+        assert refusals[0] == refusals[1] and refusals[0][0] == field
+
     def test_lindblad_values_are_python_floats(self):
         # a float cell takes the CSV writer's one-test path; numpy's float64 would not
         ion = IonConfig(1.0, (math.pi / 2) / 20, 2)
