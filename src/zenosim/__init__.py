@@ -3,12 +3,10 @@ three-level simulator with a brute-force oracle for every closed form."""
 
 from .config import RunConfig, parse_config
 from .dynamics import (
-    IonConfig,
+    LINDBLAD_AGREEMENT_TOL,
     LindbladConfig,
     PulseSchedule,
     ScheduleParams,
-    apply_projection,
-    evolve_bloch,
     integrate_lindblad,
     populations,
 )
@@ -21,7 +19,12 @@ from .errors import (
     ZenoSimError,
 )
 from .ion import (
-    LINDBLAD_AGREEMENT_TOL,
+    BlochVector,
+    IonConfig,
+    apply_projection,
+    bloch_from_density,
+    density_from_bloch,
+    evolve_bloch,
     n_max,
     p2_asymptotic,
     p2_closed_form,
@@ -35,13 +38,7 @@ from .neutron import (
     p_up_limited,
     phi_zero,
 )
-from .states import (
-    BlochVector,
-    Diagnostics,
-    bloch_from_density,
-    density_from_bloch,
-    validate_density,
-)
+from .states import Diagnostics, validate_density
 from .sweep import (
     NeutronRow,
     SweepResult,

@@ -10,8 +10,8 @@ import functools
 import sys
 
 from .config import RunConfig, _out_format, _out_path, parse_config, parse_n_list
+from .dynamics import LINDBLAD_AGREEMENT_TOL
 from .errors import BoundViolationError, ConfigError, IntegrationError
-from .ion import LINDBLAD_AGREEMENT_TOL
 from .sweep import emit, run_ion_sweep, run_neutron_sweep
 
 _DEFAULT_CHECK_COUNTS = (2, 4, 8)

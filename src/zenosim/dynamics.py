@@ -1,16 +1,8 @@
-"""Time evolution: Bloch precession, projective measurement, Lindblad dynamics.
+"""The three-level model: Lindblad dynamics of the ion under optical measurement pulses.
 
-The two-level drive rotates the Bloch vector about the first axis,
-
-    dR/dt = w x R,    w = (Omega, 0, 0),
-
-so a system started in the lower level has r3(t) = -cos(Omega t).  A
-projective population measurement zeroes the coherences and leaves the
-populations untouched.
-
-The three-level model adds a short-lived auxiliary level (index 2) coupled to
-the lower level by square optical pulses and decaying back to it at rate
-gamma = 1/tau_sp.  The N pulses are equispaced, the k-th ending at k T / N,
+The two-level ion of ``ion`` gains a short-lived auxiliary level (index 2)
+coupled to the lower level by square optical pulses and decaying back to it at
+rate gamma = 1/tau_sp.  The N pulses are equispaced, the k-th ending at k T / N,
 so a schedule holds no list of times and costs the same for any N.  Its
 master equation,
 
@@ -19,7 +11,7 @@ master equation,
 is integrated with a fixed-step classical 4th-order Runge-Kutta scheme, with
 steps aligned to the pulse-window boundaries so the piecewise-constant
 Hamiltonian never changes inside a step.  The drive signs follow the Bloch
-convention above, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
+convention of ``ion``, which fixes H_rf = -(Omega/2)(|0><1| + |1><0|).
 
 The equation is linear and keeps rho Hermitian, so a state is carried as the
 nine reals x = (rho00, rho11, rho22, Re rho01, Im rho01, Re rho02, Im rho02,
@@ -41,9 +33,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
-from .errors import check_count, check_flag, check_fraction, check_positive, real_floats
+from .errors import check_flag, check_fraction, check_positive
+from .ion import IonConfig
 from .states import TRAJECTORY_HERMITICITY_TOL, TRAJECTORY_MIN_EIG_TOL, TRAJECTORY_TRACE_TOL
-from .states import BlochVector, _float_bloch, as_density, hermiticity_residue, np, validate_density
+from .states import as_density, hermiticity_residue, np, validate_density
+
+#: Absolute agreement demanded of the three-level simulation against the
+#: projective closed form when the measurement lifetime is well separated
+#: from the measurement spacing.
+LINDBLAD_AGREEMENT_TOL = 0.05
 
 #: Steps per fastest timescale required of the integrator step.
 _STEP_MARGIN = 20
@@ -53,36 +51,12 @@ _STEP_MARGIN = 20
 #: limit; a one-step segment 4.5-7 us, so a row of them runs about 10 minutes.
 MAX_STEPS = 10**8
 #: States per block: P, P^2, ..., P^_BLOCK are stacked once per (segment kind, step) of a row.
+#: It must be a power of two, since the stack is filled by doubling.
 _BLOCK = 64
 #: States validated, and yielded, at once: blocks of one or more segments, 64 to spread the gate's call cost.
 _CHUNK = 64 * _BLOCK
 #: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
 _I, _J = [0, 0, 1], [1, 2, 2]
-
-
-@dataclass(frozen=True)
-class IonConfig:
-    """Drive and decay parameters of the two-level ion.
-
-    ``omega`` is the Rabi frequency of the always-on drive, ``tau_sp`` the
-    spontaneous lifetime of the auxiliary measurement level, and ``n_pulses``
-    the number of equispaced measurements during the inversion pulse of
-    duration ``t_pi``.
-    """
-
-    omega: float
-    tau_sp: float
-    n_pulses: int
-
-    def __post_init__(self):
-        checks = {"omega": check_positive, "tau_sp": check_positive, "n_pulses": check_count}
-        for name, check in checks.items():
-            object.__setattr__(self, name, check(getattr(self, name), f"ion.{name}"))
-
-    @property
-    def t_pi(self) -> float:
-        """Duration of the population-inverting drive pulse, pi/omega."""
-        return math.pi / self.omega
 
 
 @dataclass(frozen=True)
@@ -220,47 +194,6 @@ class LindbladConfig:
         return min(scales) / _STEP_MARGIN
 
 
-def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
-    """Rotate ``r0`` about the first axis for a time ``dt`` at frequency ``omega``.
-
-    Solves dR/dt = (omega, 0, 0) x R exactly; the norm is preserved.  ``omega``,
-    ``dt`` and each component are read as Python floats, and floats are returned.
-
-    Raises
-    ------
-    ValueError
-        If ``omega``, ``dt`` or a component is a ``bool``, not a real number or
-        past the float range, ``dt`` is negative or NaN, or the angle
-        ``omega * dt`` is not finite.
-    """
-    c, s = _cos_sin(omega, dt)
-    return BlochVector(*_rotate(_float_bloch(r0), c, s))
-
-
-def _cos_sin(omega, dt) -> tuple[float, float]:
-    """cos and sin of the angle ``omega * dt``, checked as :func:`evolve_bloch` states."""
-    reals = real_floats((omega, dt))
-    if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
-        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
-    return math.cos(angle), math.sin(angle)
-
-
-def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, float, float]:
-    """Floats (r1, r2, r3) rotated about the first axis by the angle of cosine ``c`` and sine ``s``."""
-    r1, r2, r3 = r
-    return r1, r2 * c - r3 * s, r2 * s + r3 * c
-
-
-def apply_projection(rho) -> "np.ndarray":
-    """Projective population measurement: zero the coherences, keep the diagonal."""
-    return np.array(_project(as_density(rho).tolist()), dtype=complex)
-
-
-def _project(rows) -> list:
-    """The rows of a square matrix with its diagonal kept and ``0j`` elsewhere, unchecked."""
-    return [(0j,) * i + (row[i],) + (0j,) * (len(row) - 1 - i) for i, row in enumerate(rows)]
-
-
 def _segments(cfg: LindbladConfig):
     """Yield the (start, end, pulse_on, n_steps) pieces of [0, T], split at the window edges.
 
@@ -319,19 +252,18 @@ def _states(xs: "np.ndarray", out: "np.ndarray | None" = None) -> "np.ndarray":
     return out
 
 
-def _rk4_powers(generator: "np.ndarray", h: float, count: int) -> "np.ndarray":
-    """P, P^2, ..., P^count of the RK4 step map P = sum_k (hG)^k / k!, k <= 4, as one (9 count, 9)."""
+def _rk4_powers(generator: "np.ndarray", h: float) -> "np.ndarray":
+    """P, P^2, ..., P^_BLOCK of the RK4 step map P = sum_k (hG)^k / k!, k <= 4, as one (9 _BLOCK, 9)."""
     step = h * generator
-    powers = np.empty((count, 9, 9))
+    powers = np.empty((_BLOCK, 9, 9))
     powers[0] = term = np.eye(9)
     for k in range(1, 5):
         term = term @ step / k
         powers[0] += term
     filled = 1
-    while filled < count:  # P^(j + filled) = P^j P^filled, one batched product per doubling
-        take = min(filled, count - filled)
-        np.matmul(powers[:take], powers[filled - 1], out=powers[filled:filled + take])
-        filled += take
+    while filled < _BLOCK:  # P^(j + filled) = P^j P^filled, one batched product per doubling
+        np.matmul(powers[:filled], powers[filled - 1], out=powers[filled:2 * filled])
+        filled *= 2
     return powers.reshape(-1, 9)
 
 
@@ -395,17 +327,17 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
     yield 0, _validate_block(cfg, 0, x[None])
 
     rf, optical, decay = _generator_parts()
-    step_maps = {}  # (9 count, 9) per exact (pulse_on, h, count); its products use one core
+    step_maps = {}  # (9 _BLOCK, 9) per exact (pulse_on, h); its products use one core
     first, filled, chunk = 1, 0, np.empty((_CHUNK, 9))
     for start, end, pulse_on, n_steps in _segments(cfg):
         h = (end - start) / n_steps
-        key = (pulse_on, h, min(_BLOCK, n_steps))
+        key = (pulse_on, h)
         if key not in step_maps:
             omega = cfg.ion.omega if not pulse_on or cfg.schedule.rf_during_pulse else 0.0
             rabi = cfg.schedule.optical_rabi if pulse_on else 0.0
-            step_maps[key] = _rk4_powers(omega * rf + rabi * optical + cfg.gamma * decay, h, key[2])
-        for done in range(0, n_steps, key[2]):
-            size = min(key[2], n_steps - done)
+            step_maps[key] = _rk4_powers(omega * rf + rabi * optical + cfg.gamma * decay, h)
+        for done in range(0, n_steps, _BLOCK):
+            size = min(_BLOCK, n_steps - done)
             if filled + size > _CHUNK:
                 yield first, _validate_block(cfg, first, chunk[:filled])
                 # x, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.

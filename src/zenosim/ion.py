@@ -1,26 +1,178 @@
-"""Closed-form Zeno probabilities for the driven ion, and their oracle.
+"""The projective two-level ion: its parameters, Bloch maps, closed forms and their oracle.
+
+A two-level state is interchangeably a 2x2 complex density matrix or a real
+Bloch vector (r1, r2, r3) with
+
+    r1 = rho_12 + rho_21,
+    r2 = i (rho_12 - rho_21),
+    r3 = rho_22 - rho_11,
+
+so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
+The drive rotates the Bloch vector about the first axis, dR/dt = (Omega, 0, 0) x R,
+so a system started in the lower level has r3(t) = -cos(Omega t).  A projective
+population measurement zeroes the coherences and leaves the populations untouched.
+Each public map reads its real numbers as Python floats by ``errors.real_floats``,
+checks them, and runs an unchecked kernel on plain Python numbers (``_density``
+gives rows ((rho_11, rho_12), (rho_21, rho_22)) and ``_bloch`` reads them back);
+arrays exist only at the public maps' boundary.
 
 ``p2_closed_form`` gives the upper-level population after N projective
-measurements during an inversion pulse, (1 - cos^N(pi/N))/2, and
-``simulate_projective_sequence`` recomputes it by brute force from the Bloch
-rotation and the projection map, checked once per call and stepped on those maps'
-numpy-free kernels with the norm check kept per state, for the maps' own bits.
-The decoherence-limited variant clamps the per-interval rotation angle from below
-at omega * tau_sp, the smallest angle compatible with the measurement level's
-finite lifetime: beyond ``n_max`` measurements the closed form saturates at one
-half instead of falling to zero.
+measurements during an inversion pulse, (1 - cos^N(pi/N))/2.
+``simulate_projective_sequence`` recomputes it by brute force on the maps'
+kernels, checked once per call with the norm check kept per state, so it runs no
+numpy and has the maps' own bits.  The decoherence-limited variant clamps the
+per-interval rotation angle from below at omega * tau_sp, the smallest angle
+compatible with the measurement level's finite lifetime: beyond ``n_max``
+measurements the closed form saturates at one half instead of falling to zero.
 """
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dynamics import IonConfig, _cos_sin, _project, _rotate
-from .errors import BoundViolationError, check_count, floor_count
-from .states import _bloch, _check_norm, _density
+from .errors import BoundViolationError, InvalidStateError, NonphysicalStateError
+from .errors import check_count, check_positive, floor_count, real_floats
+from .states import BLOCH_NORM_TOL, HERMITICITY_TOL, as_density, hermiticity_residue, np
 
-#: Absolute agreement demanded of the three-level simulation against the
-#: projective closed form when the measurement lifetime is well separated
-#: from the measurement spacing.
-LINDBLAD_AGREEMENT_TOL = 0.05
+
+@dataclass(frozen=True)
+class IonConfig:
+    """Drive and decay parameters of the two-level ion.
+
+    ``omega`` is the Rabi frequency of the always-on drive, ``tau_sp`` the
+    spontaneous lifetime of the auxiliary measurement level, and ``n_pulses``
+    the number of equispaced measurements during the inversion pulse of
+    duration ``t_pi``.
+    """
+
+    omega: float
+    tau_sp: float
+    n_pulses: int
+
+    def __post_init__(self):
+        checks = {"omega": check_positive, "tau_sp": check_positive, "n_pulses": check_count}
+        for name, check in checks.items():
+            object.__setattr__(self, name, check(getattr(self, name), f"ion.{name}"))
+
+    @property
+    def t_pi(self) -> float:
+        """Duration of the population-inverting drive pulse, pi/omega."""
+        return math.pi / self.omega
+
+
+class BlochVector(NamedTuple):
+    """Real three-vector equivalent of a two-level density matrix."""
+
+    r1: float
+    r2: float
+    r3: float
+
+    def norm(self) -> float:
+        return math.hypot(self.r1, self.r2, self.r3)
+
+
+def _float_bloch(r) -> BlochVector:
+    """``r`` as a BlochVector of Python floats; ValueError unless :func:`real_floats` reads it."""
+    if (parts := real_floats(r := tuple(r))) is None:
+        raise ValueError(f"Bloch vector components must be real numbers, not bool, got {r!r}")
+    return BlochVector(*parts)
+
+
+def bloch_from_density(rho) -> BlochVector:
+    """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
+
+    Raises
+    ------
+    InvalidStateError
+        If ``rho`` is not 2x2, has a non-finite entry, deviates from
+        Hermiticity beyond ``HERMITICITY_TOL``, or has finite entries whose
+        sums overflow to a non-finite Bloch vector.
+    """
+    rho = as_density(rho)
+    if rho.shape != (2, 2):
+        raise InvalidStateError("Bloch vector is defined for 2x2 states only")
+    herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
+    r1, r2, r3 = _bloch(rho.tolist())
+    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
+        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
+    return BlochVector(r1, r2, r3)
+
+
+def _bloch(rows) -> tuple[float, float, float]:
+    """(r1, r2, r3) of a 2x2 state's rows of Python numbers, unchecked."""
+    (rho_11, rho_12), (rho_21, rho_22) = rows
+    return (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
+
+
+def density_from_bloch(r: BlochVector) -> "np.ndarray":
+    """Map a Bloch vector to the corresponding 2x2 density matrix.
+
+    Each component is read as a Python float.
+
+    Raises
+    ------
+    ValueError
+        If a component is a ``bool``, not a real number, or past the float range.
+    NonphysicalStateError
+        If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
+    """
+    return np.array(_density(_check_norm(_float_bloch(r))), dtype=complex)
+
+
+def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
+    """``r`` unless its norm exceeds 1 beyond ``BLOCH_NORM_TOL`` or is NaN: NonphysicalStateError."""
+    if not (norm := math.hypot(*r)) <= 1.0 + BLOCH_NORM_TOL:
+        raise NonphysicalStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
+    return r
+
+
+def _density(r: tuple[float, float, float]) -> tuple:
+    """The 2x2 density matrix of floats (r1, r2, r3) as rows of Python numbers, unchecked."""
+    r1, r2, r3 = r
+    return ((1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0), ((r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0)
+
+
+def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
+    """Rotate ``r0`` about the first axis for a time ``dt`` at frequency ``omega``.
+
+    Solves dR/dt = (omega, 0, 0) x R exactly; the norm is preserved.  ``omega``,
+    ``dt`` and each component are read as Python floats, and floats are returned.
+
+    Raises
+    ------
+    ValueError
+        If ``omega``, ``dt`` or a component is a ``bool``, not a real number or
+        past the float range, ``dt`` is negative or NaN, or the angle
+        ``omega * dt`` is not finite.
+    """
+    c, s = _cos_sin(omega, dt)
+    return BlochVector(*_rotate(_float_bloch(r0), c, s))
+
+
+def _cos_sin(omega, dt) -> tuple[float, float]:
+    """cos and sin of the angle ``omega * dt``, checked as :func:`evolve_bloch` states."""
+    reals = real_floats((omega, dt))
+    if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
+        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
+    return math.cos(angle), math.sin(angle)
+
+
+def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, float, float]:
+    """Floats (r1, r2, r3) rotated about the first axis by the angle of cosine ``c`` and sine ``s``."""
+    r1, r2, r3 = r
+    return r1, r2 * c - r3 * s, r2 * s + r3 * c
+
+
+def apply_projection(rho) -> "np.ndarray":
+    """Projective population measurement: zero the coherences, keep the diagonal."""
+    return np.array(_project(as_density(rho).tolist()), dtype=complex)
+
+
+def _project(rows) -> list:
+    """The rows of a square matrix with its diagonal kept and ``0j`` elsewhere, unchecked."""
+    return [(0j,) * i + (row[i],) + (0j,) * (len(row) - 1 - i) for i, row in enumerate(rows)]
 
 
 def _p2(n: int, floor: float) -> float:
@@ -89,4 +241,3 @@ def p2_decoherence_limited(n: int, cfg: IonConfig) -> float:
     angle sticks at its lower bound and the value saturates at one half.
     """
     return _p2(check_count(n), cfg.omega * cfg.tau_sp)
-

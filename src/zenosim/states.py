@@ -1,34 +1,22 @@
-"""Density matrices for two- and three-level systems and the Bloch-vector map.
+"""Density matrices for two- and three-level systems: the checks both models use.
 
-A two-level state is interchangeably a 2x2 complex density matrix or a real
-Bloch vector (r1, r2, r3) with
-
-    r1 = rho_12 + rho_21,
-    r2 = i (rho_12 - rho_21),
-    r3 = rho_22 - rho_11,
-
-so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
-The Bloch helpers read each real number as a Python float by ``errors.real_floats``,
-check it, and map it by an unchecked kernel on plain Python numbers, ``_density`` from
-(r1, r2, r3) to rows ((rho_11, rho_12), (rho_21, rho_22)) or ``_bloch`` back; arrays exist
-only at the public maps' boundary, and ``ion.simulate_projective_sequence`` runs no numpy.
-Every state tolerance is defined here, the integrator's ``TRAJECTORY_*`` ones
-too, and each residue is compared as ``not residue <= tol``, so NaN fails.
-The per-state checks' values, decisions and messages are the array formulas' own.
-:func:`validate_density` can run once per stored state, so it keeps its numpy
-calls few and skips the residue of a state equal entry by entry to its adjoint,
-as every integrated and projected state is; every other state takes it from
-:func:`hermiticity_residue`.
+Every state tolerance is defined here, the two-level Bloch maps' and the
+integrator's ``TRAJECTORY_*`` ones too, and each residue is compared as
+``not residue <= tol``, so NaN fails.  The per-state checks' values, decisions
+and messages are the array formulas' own.  :func:`validate_density` can run
+once per stored state, so it keeps its numpy calls few and skips the residue of
+a state equal entry by entry to its adjoint, as every integrated and projected
+state is; every other state takes it from :func:`hermiticity_residue`.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
 attribute access (the recipe of the ``importlib`` documentation), so the closed
-forms, the Bloch oracle and the command-line tables never load numpy or start its
-BLAS threads; ``dynamics`` shares the binding.  Annotations naming ``np.ndarray``
-are quoted, since an annotation is evaluated when its function is defined.
-Before CPython gh-114763 was fixed (3.11 does not have the fix) LazyLoader was
-not safe against two threads making the first access at once: a threaded
-program should import numpy before it starts its threads.
+forms, the Bloch oracle and the command-line tables never load numpy or start
+its BLAS threads; ``ion`` and ``dynamics`` share the binding.  Annotations
+naming ``np.ndarray`` are quoted, since an annotation is evaluated when its
+function is defined.  Before CPython gh-114763 was fixed (3.11 does not have the
+fix) LazyLoader was not safe against two threads making the first access at
+once: a threaded program should import numpy before it starts its threads.
 """
 
 import importlib.util
@@ -36,7 +24,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import InvalidStateError, NonphysicalStateError, real_floats
+from .errors import InvalidStateError
 
 
 def _lazy_numpy():
@@ -69,24 +57,6 @@ TRAJECTORY_TRACE_TOL = 1e-9
 TRAJECTORY_HERMITICITY_TOL = 1e-10
 #: Most negative eigenvalue tolerated along an integrated trajectory.
 TRAJECTORY_MIN_EIG_TOL = 1e-8
-
-
-class BlochVector(NamedTuple):
-    """Real three-vector equivalent of a two-level density matrix."""
-
-    r1: float
-    r2: float
-    r3: float
-
-    def norm(self) -> float:
-        return math.hypot(self.r1, self.r2, self.r3)
-
-
-def _float_bloch(r) -> BlochVector:
-    """``r`` as a BlochVector of Python floats; ValueError unless :func:`real_floats` reads it."""
-    if (parts := real_floats(r := tuple(r))) is None:
-        raise ValueError(f"Bloch vector components must be real numbers, not bool, got {r!r}")
-    return BlochVector(*parts)
 
 
 class Diagnostics(NamedTuple):
@@ -171,59 +141,3 @@ def validate_density(rho) -> Diagnostics:
     with np.errstate(invalid="ignore", over="ignore"):
         sym = 0.5 * (rho + adjoint)
     return Diagnostics(float(hermiticity_residue(rho)), trace, min_eigenvalue(sym))
-
-
-def bloch_from_density(rho) -> BlochVector:
-    """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
-
-    Raises
-    ------
-    InvalidStateError
-        If ``rho`` is not 2x2, has a non-finite entry, deviates from
-        Hermiticity beyond ``HERMITICITY_TOL``, or has finite entries whose
-        sums overflow to a non-finite Bloch vector.
-    """
-    rho = as_density(rho)
-    if rho.shape != (2, 2):
-        raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
-    if not herm <= HERMITICITY_TOL:
-        raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-    r1, r2, r3 = _bloch(rho.tolist())
-    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
-        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
-    return BlochVector(r1, r2, r3)
-
-
-def _bloch(rows) -> tuple[float, float, float]:
-    """(r1, r2, r3) of a 2x2 state's rows of Python numbers, unchecked."""
-    (rho_11, rho_12), (rho_21, rho_22) = rows
-    return (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
-
-
-def density_from_bloch(r: BlochVector) -> "np.ndarray":
-    """Map a Bloch vector to the corresponding 2x2 density matrix.
-
-    Each component is read as a Python float.
-
-    Raises
-    ------
-    ValueError
-        If a component is a ``bool``, not a real number, or past the float range.
-    NonphysicalStateError
-        If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
-    """
-    return np.array(_density(_check_norm(_float_bloch(r))), dtype=complex)
-
-
-def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
-    """``r`` unless its norm exceeds 1 beyond ``BLOCH_NORM_TOL`` or is NaN: NonphysicalStateError."""
-    if not (norm := math.hypot(*r)) <= 1.0 + BLOCH_NORM_TOL:
-        raise NonphysicalStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
-    return r
-
-
-def _density(r: tuple[float, float, float]) -> tuple:
-    """The 2x2 density matrix of floats (r1, r2, r3) as rows of Python numbers, unchecked."""
-    r1, r2, r3 = r
-    return ((1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0), ((r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .config import RunConfig
-from .dynamics import IonConfig, LindbladConfig, final_state
+from .dynamics import LindbladConfig, final_state
 from .errors import ConfigError, IntegrationError, check_flag
-from .ion import _p2, _p2_asymptotic, n_max
+from .ion import IonConfig, _p2, _p2_asymptotic, n_max
 from .neutron import _p_up, neutron_n_max, phi_zero
 
 REGIME_VALID = "valid"

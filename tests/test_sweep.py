@@ -38,6 +38,7 @@ from zenosim import (
     run_neutron_sweep,
 )
 from zenosim.config import parse_n_list
+from zenosim.errors import check_count
 
 ION_HEADER = "n,p2_projection,p2_asymptotic,p2_limited,p2_lindblad,regime_flag"
 
@@ -187,17 +188,23 @@ class TestNeutronSweep:
 
 
 def test_table_rows_make_no_count_check(monkeypatch):
-    # require_n_list has checked each count, so the rows reach the closed forms' kernels directly
+    # require_n_list has checked each count, so the rows reach the closed forms' kernels directly;
+    # the one check left is IonConfig's, of the count 1 each ion table's parameters are built with
     ion_cfg = ion_config(n_list=(1, 2, 31, 32, 100))
     neutron_cfg = neutron_config(n_list=(1, 2, 15, 16, 40))
     ion, neutron = run_ion_sweep(ion_cfg), run_neutron_sweep(neutron_cfg)
+    table_counts = []
 
     def refuse(n, field="n"):
+        if field == "ion.n_pulses":
+            table_counts.append(n)
+            return check_count(n, field)
         raise AssertionError(f"count {n!r} checked again")
 
     monkeypatch.setattr("zenosim.ion.check_count", refuse)
     monkeypatch.setattr("zenosim.neutron.check_count", refuse)
     assert run_ion_sweep(ion_cfg).rows == ion.rows
+    assert table_counts == [1]
     unchecked = run_neutron_sweep(neutron_cfg)
     assert unchecked.rows == neutron.rows
     assert unchecked.metadata["p_up_at_n_max"] == neutron.metadata["p_up_at_n_max"]
