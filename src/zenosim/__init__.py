@@ -19,12 +19,7 @@ from .errors import (
     ZenoSimError,
 )
 from .ion import (
-    BlochVector,
     IonConfig,
-    apply_projection,
-    bloch_from_density,
-    density_from_bloch,
-    evolve_bloch,
     n_max,
     p2_asymptotic,
     p2_closed_form,
@@ -53,7 +48,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector",
     "BoundViolationError",
     "ConfigError",
     "Diagnostics",
@@ -71,11 +65,7 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "ZenoSimError",
-    "apply_projection",
-    "bloch_from_density",
-    "density_from_bloch",
     "emit",
-    "evolve_bloch",
     "integrate_lindblad",
     "lindblad_p2",
     "load_result",

@@ -59,7 +59,7 @@ def check_counts(values, field: str = "n") -> list[int]:
 
 def real_floats(values) -> "tuple[float, ...] | None":
     """Tuple ``values`` as Python floats, or None unless each is a real number, not a bool, in float range."""
-    # The parameter checks make 462 calls per benchmark `verify` pass and 1,120 per `tables` pass.
+    # The parameter checks make 312 calls per benchmark `verify` pass and 1,120 per `tables` pass.
     for value in values:  # a loop, not all(): all() takes IonConfig(...) from 2.6 to 6-10 us (Xeon)
         if type(value) is not float:
             break

@@ -1,4 +1,4 @@
-"""The projective two-level ion: its parameters, Bloch maps, closed forms and their oracle.
+"""The projective two-level ion: its parameters, closed forms and their oracle.
 
 A two-level state is interchangeably a 2x2 complex density matrix or a real
 Bloch vector (r1, r2, r3) with
@@ -11,28 +11,27 @@ so r3 is the population inversion P2 - P1.  Basis index 0 is the lower level.
 The drive rotates the Bloch vector about the first axis, dR/dt = (Omega, 0, 0) x R,
 so a system started in the lower level has r3(t) = -cos(Omega t).  A projective
 population measurement zeroes the coherences and leaves the populations untouched.
-Each public map reads its real numbers as Python floats by ``errors.real_floats``,
-checks them, and runs an unchecked kernel on plain Python numbers (``_density``
-gives rows ((rho_11, rho_12), (rho_21, rho_22)) and ``_bloch`` reads them back);
-arrays exist only at the public maps' boundary.
+The oracle's kernels compute these maps, unchecked, on plain Python numbers:
+``_rotate`` turns a vector, ``_density`` gives its rows ((rho_11, rho_12),
+(rho_21, rho_22)), ``_project`` zeroes their coherences and ``_bloch`` reads
+the vector back.
 
 ``p2_closed_form`` gives the upper-level population after N projective
 measurements during an inversion pulse, (1 - cos^N(pi/N))/2.
-``simulate_projective_sequence`` recomputes it by brute force on the maps'
-kernels, checked once per call with the norm check kept per state, so it runs no
-numpy and has the maps' own bits.  The decoherence-limited variant clamps the
-per-interval rotation angle from below at omega * tau_sp, the smallest angle
-compatible with the measurement level's finite lifetime: beyond ``n_max``
-measurements the closed form saturates at one half instead of falling to zero.
+``simulate_projective_sequence`` recomputes it by brute force on those
+kernels, checked once per call with the norm check kept per state, so it runs
+no numpy.  The decoherence-limited variant clamps the per-interval rotation
+angle from below at omega * tau_sp, the smallest angle compatible with the
+measurement level's finite lifetime: beyond ``n_max`` measurements the closed
+form saturates at one half instead of falling to zero.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import BoundViolationError, InvalidStateError, NonphysicalStateError
-from .errors import check_count, check_positive, floor_count, real_floats
-from .states import BLOCH_NORM_TOL, HERMITICITY_TOL, as_density, hermiticity_residue, np
+from .errors import BoundViolationError, NonphysicalStateError
+from .errors import check_count, check_positive, floor_count
+from .states import BLOCH_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -60,65 +59,10 @@ class IonConfig:
         return math.pi / self.omega
 
 
-class BlochVector(NamedTuple):
-    """Real three-vector equivalent of a two-level density matrix."""
-
-    r1: float
-    r2: float
-    r3: float
-
-    def norm(self) -> float:
-        return math.hypot(self.r1, self.r2, self.r3)
-
-
-def _float_bloch(r) -> BlochVector:
-    """``r`` as a BlochVector of Python floats; ValueError unless :func:`real_floats` reads it."""
-    if (parts := real_floats(r := tuple(r))) is None:
-        raise ValueError(f"Bloch vector components must be real numbers, not bool, got {r!r}")
-    return BlochVector(*parts)
-
-
-def bloch_from_density(rho) -> BlochVector:
-    """Map a 2x2 density matrix to its Bloch vector of plain Python floats.
-
-    Raises
-    ------
-    InvalidStateError
-        If ``rho`` is not 2x2, has a non-finite entry, deviates from
-        Hermiticity beyond ``HERMITICITY_TOL``, or has finite entries whose
-        sums overflow to a non-finite Bloch vector.
-    """
-    rho = as_density(rho)
-    if rho.shape != (2, 2):
-        raise InvalidStateError("Bloch vector is defined for 2x2 states only")
-    herm = float(hermiticity_residue(rho))  # numpy's abs decides, and words the error
-    if not herm <= HERMITICITY_TOL:
-        raise InvalidStateError(f"state is not Hermitian (residue {herm:.3e})")
-    r1, r2, r3 = _bloch(rho.tolist())
-    if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)):  # the sums overflowed
-        raise InvalidStateError(f"Bloch vector is not finite: {BlochVector(r1, r2, r3)}")
-    return BlochVector(r1, r2, r3)
-
-
 def _bloch(rows) -> tuple[float, float, float]:
     """(r1, r2, r3) of a 2x2 state's rows of Python numbers, unchecked."""
     (rho_11, rho_12), (rho_21, rho_22) = rows
     return (rho_12 + rho_21).real, (1j * (rho_12 - rho_21)).real, (rho_22 - rho_11).real
-
-
-def density_from_bloch(r: BlochVector) -> "np.ndarray":
-    """Map a Bloch vector to the corresponding 2x2 density matrix.
-
-    Each component is read as a Python float.
-
-    Raises
-    ------
-    ValueError
-        If a component is a ``bool``, not a real number, or past the float range.
-    NonphysicalStateError
-        If the norm of ``r`` exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN.
-    """
-    return np.array(_density(_check_norm(_float_bloch(r))), dtype=complex)
 
 
 def _check_norm(r: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -134,40 +78,10 @@ def _density(r: tuple[float, float, float]) -> tuple:
     return ((1.0 - r3) / 2.0, (r1 - 1j * r2) / 2.0), ((r1 + 1j * r2) / 2.0, (1.0 + r3) / 2.0)
 
 
-def evolve_bloch(r0: BlochVector, omega: float, dt: float) -> BlochVector:
-    """Rotate ``r0`` about the first axis for a time ``dt`` at frequency ``omega``.
-
-    Solves dR/dt = (omega, 0, 0) x R exactly; the norm is preserved.  ``omega``,
-    ``dt`` and each component are read as Python floats, and floats are returned.
-
-    Raises
-    ------
-    ValueError
-        If ``omega``, ``dt`` or a component is a ``bool``, not a real number or
-        past the float range, ``dt`` is negative or NaN, or the angle
-        ``omega * dt`` is not finite.
-    """
-    c, s = _cos_sin(omega, dt)
-    return BlochVector(*_rotate(_float_bloch(r0), c, s))
-
-
-def _cos_sin(omega, dt) -> tuple[float, float]:
-    """cos and sin of the angle ``omega * dt``, checked as :func:`evolve_bloch` states."""
-    reals = real_floats((omega, dt))
-    if not (reals and reals[1] >= 0 and abs(angle := reals[0] * reals[1]) < math.inf):  # NaN fails
-        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
-    return math.cos(angle), math.sin(angle)
-
-
 def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, float, float]:
     """Floats (r1, r2, r3) rotated about the first axis by the angle of cosine ``c`` and sine ``s``."""
     r1, r2, r3 = r
     return r1, r2 * c - r3 * s, r2 * s + r3 * c
-
-
-def apply_projection(rho) -> "np.ndarray":
-    """Projective population measurement: zero the coherences, keep the diagonal."""
-    return np.array(_project(as_density(rho).tolist()), dtype=complex)
 
 
 def _project(rows) -> list:
@@ -198,19 +112,20 @@ def simulate_projective_sequence(cfg: IonConfig) -> float:
     """Brute-force oracle for :func:`p2_closed_form`.
 
     Starting from the lower level, alternately rotates the Bloch vector for
-    T/N and applies the projective measurement through the density-matrix
-    map, N times, then reads off the upper-level population (r3 + 1)/2, a
-    plain Python float.
+    T/N and applies the projective measurement to its density matrix, N times,
+    then reads off the upper-level population (r3 + 1)/2, a plain Python float.
 
-    Its checks run once per call: ``cfg``'s fields are checked floats, and
-    omega T/N must be finite (else ValueError).  Each step runs the kernels of
-    ``evolve_bloch``, ``density_from_bloch``, ``apply_projection`` and
-    ``bloch_from_density`` on plain Python numbers, so the value has those maps' bits,
-    and keeps the one check whose input changes per step: a rotated vector whose
+    ``cfg``'s fields are checked floats, so one check runs per call: the angle
+    omega T/N must be finite (else ValueError; T = pi/omega overflows for an
+    omega below about 1.7e-308).  Each step runs the kernels on plain Python numbers and
+    keeps the one check whose input changes per step: a rotated vector whose
     norm exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN, raises NonphysicalStateError.
     """
+    omega, dt = cfg.omega, cfg.t_pi / cfg.n_pulses
+    if not abs(angle := omega * dt) < math.inf:
+        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
+    c, s = math.cos(angle), math.sin(angle)
     r = 0.0, 0.0, -1.0  # (r1, r2, r3): the kernels take and give plain Python numbers
-    c, s = _cos_sin(cfg.omega, cfg.t_pi / cfg.n_pulses)
     for _ in range(cfg.n_pulses):
         r = _bloch(_project(_density(_check_norm(_rotate(r, c, s)))))
     return (r[2] + 1.0) / 2.0

@@ -1,18 +1,18 @@
 """Density matrices for two- and three-level systems: the checks both models use.
 
-Every state tolerance is defined here, the two-level Bloch maps' and the
-integrator's ``TRAJECTORY_*`` ones too, and each residue is compared as
+Every state tolerance is defined here, the Bloch oracle's norm bound and the
+integrator's ``TRAJECTORY_*`` ones, and each residue is compared as
 ``not residue <= tol``, so NaN fails.  The per-state checks' values, decisions
 and messages are the array formulas' own.  :func:`validate_density` can run
 once per stored state, so it keeps its numpy calls few and skips the residue of
-a state equal entry by entry to its adjoint, as every integrated and projected
-state is; every other state takes it from :func:`hermiticity_residue`.
+a state equal entry by entry to its adjoint, as every integrated state is;
+every other state takes it from :func:`hermiticity_residue`.
 
 numpy is bound here as ``np`` without being imported.  If it is not loaded
 yet, ``np`` is the module that ``importlib.util.LazyLoader`` runs on its first
 attribute access (the recipe of the ``importlib`` documentation), so the closed
 forms, the Bloch oracle and the command-line tables never load numpy or start
-its BLAS threads; ``ion`` and ``dynamics`` share the binding.  Annotations
+its BLAS threads; ``dynamics`` shares the binding.  Annotations
 naming ``np.ndarray`` are quoted, since an annotation is evaluated when its
 function is defined.  Before CPython gh-114763 was fixed (3.11 does not have the
 fix) LazyLoader was not safe against two threads making the first access at
@@ -43,14 +43,10 @@ def _lazy_numpy():
 
 np = _lazy_numpy()
 
-#: Max allowed |rho - rho^dagger| entry for a state accepted as Hermitian.
-HERMITICITY_TOL = 1e-12
 #: Real and imaginary parts below this cannot overflow in rho + rho^dagger.
 _SUM_SAFE = 2.0**1022
 #: Max allowed excess of a Bloch vector norm over 1.
 BLOCH_NORM_TOL = 1e-10
-#: Agreement required of the density <-> Bloch round trip, per component.
-ROUND_TRIP_TOL = 1e-12
 #: Trace drift tolerated along an integrated trajectory.
 TRAJECTORY_TRACE_TOL = 1e-9
 #: Hermiticity residue tolerated in an integration's initial state; later ones are Hermitian by construction.

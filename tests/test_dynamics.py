@@ -4,12 +4,10 @@ import functools
 import itertools
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -19,7 +17,6 @@ import pytest
 
 import zenosim
 from zenosim import (
-    BlochVector,
     ConfigError,
     IntegrationError,
     InvalidStateError,
@@ -27,12 +24,9 @@ from zenosim import (
     LindbladConfig,
     PulseSchedule,
     ScheduleParams,
-    apply_projection,
-    bloch_from_density,
-    density_from_bloch,
-    evolve_bloch,
     integrate_lindblad,
     populations,
+    simulate_projective_sequence,
 )
 from zenosim.dynamics import (
     MAX_STEPS,
@@ -50,6 +44,7 @@ from zenosim.dynamics import (
     _validate_block,
     final_state,
 )
+from zenosim.ion import _bloch, _density, _project, _rotate
 from zenosim.states import hermiticity_residue, validate_density
 
 SRC = str(Path(zenosim.__file__).resolve().parents[1])
@@ -269,113 +264,104 @@ def rotated(rng, spectrum) -> np.ndarray:
     return (basis * np.asarray(spectrum)) @ basis.conj().T
 
 
+def rotate(r, omega: float, t: float) -> tuple[float, float, float]:
+    """``r`` rotated by ``ion._rotate`` through the angle omega t, as the oracle calls it."""
+    return _rotate(r, math.cos(omega * t), math.sin(omega * t))
+
+
 class TestEvolveBloch:
+    """Bloch precession on the oracle's rotation kernel, and the drive values the oracle rotates by."""
+
     def test_pi_pulse_inverts_population(self):
-        r = evolve_bloch(BlochVector(0, 0, -1), 1.0, math.pi)
-        assert abs(r.r1) < 1e-12 and abs(r.r2) < 1e-12
-        assert r.r3 == pytest.approx(1.0, abs=1e-12)
+        r = rotate((0.0, 0.0, -1.0), 1.0, math.pi)
+        assert abs(r[0]) < 1e-12 and abs(r[1]) < 1e-12
+        assert r[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_rotation(self):
-        r = evolve_bloch(BlochVector(0, 0, -1), 1.0, math.pi / 2)
-        assert r == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+        assert rotate((0.0, 0.0, -1.0), 1.0, math.pi / 2) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
     def test_full_rotation_is_identity(self):
-        r0 = BlochVector(0.4, -0.2, 0.6)
-        r = evolve_bloch(r0, 1.0, 2 * math.pi)
-        assert r == pytest.approx(tuple(r0), abs=1e-12)
+        r0 = 0.4, -0.2, 0.6
+        assert rotate(r0, 1.0, 2 * math.pi) == pytest.approx(r0, abs=1e-12)
 
     def test_inversion_profile_is_minus_cosine(self):
         for t in np.linspace(0.0, 8.0, 60):
-            r = evolve_bloch(BlochVector(0, 0, -1), 1.0, t)
-            assert r.r3 == pytest.approx(-math.cos(t), abs=1e-12)
+            assert rotate((0.0, 0.0, -1.0), 1.0, t)[2] == pytest.approx(-math.cos(t), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_norm_preserved(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(100):
             v = rng.normal(size=3)
-            v /= max(1.0, np.linalg.norm(v))
-            r0 = BlochVector(*v)
-            r1 = evolve_bloch(r0, rng.uniform(0.1, 5.0), rng.uniform(0.0, 20.0))
-            assert r1.norm() == pytest.approx(r0.norm(), abs=1e-12)
+            r0 = tuple((v / max(1.0, np.linalg.norm(v))).tolist())
+            r1 = rotate(r0, rng.uniform(0.1, 5.0), rng.uniform(0.0, 20.0))
+            assert math.hypot(*r1) == pytest.approx(math.hypot(*r0), abs=1e-12)
+
+    def test_matches_rotation_matrix(self):
+        # every component in play, r2 included: the oracle's own states always enter with r2 = 0
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            r0, angle = tuple(rng.uniform(-1.0, 1.0, size=3).tolist()), rng.uniform(-10.0, 10.0)
+            c, s = math.cos(angle), math.sin(angle)
+            matrix = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])  # of dR/dt = (omega, 0, 0) x R
+            np.testing.assert_allclose(_rotate(r0, c, s), matrix @ r0, rtol=0, atol=1e-15)
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError, match=r"got omega=1\.0, dt=-0\.1$"):
-            evolve_bloch(BlochVector(0, 0, -1), 1.0, -0.1)
+        # The oracle's step pi/(omega n) is negative only for a negative omega, which never reaches it.
+        with pytest.raises(ConfigError, match=r"^ion\.omega: must be finite and > 0, got -1\.0$"):
+            IonConfig(-1.0, 0.01, 4)
 
     def test_nan_duration_rejected(self):
-        with pytest.raises(ValueError, match=r"got omega=1\.0, dt=nan$"):
-            evolve_bloch(BlochVector(0, 0, -1), 1.0, math.nan)
-
-    @pytest.mark.parametrize("omega, dt", [
-        (math.inf, 0.0), (math.nan, 0.0), (math.nan, 1.0), (1.0, math.inf), (-math.inf, 2.0),
-        (1e300, 1e10),
-    ])
-    def test_non_finite_angle_rejected(self, omega, dt):
-        # An infinite or NaN omega * dt would give a NaN vector or a bare math domain error.
-        message = f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evolve_bloch(BlochVector(0, 0, -1), omega, dt)
-
-    @pytest.mark.parametrize("omega, dt", [
-        (True, True), (True, 1.0), (1.0, True), (1.0, np.bool_(True)), ("1", 2), (1.0, "1"),
-        (Decimal("1"), 1.0), (1.0, None), (1j, 1.0),
-    ], ids=repr)
-    def test_non_real_argument_rejected(self, omega, dt):
-        # True would rotate by one radian, and "1" * 2 is "11" before any arithmetic fails.
-        message = f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evolve_bloch(BlochVector(0, 0, -1), omega, dt)
+        # ... and NaN only for a NaN omega.
+        with pytest.raises(ConfigError, match=r"^ion\.omega: must be finite and > 0, got nan$"):
+            IonConfig(math.nan, 0.01, 4)
 
     def test_float32_arguments_rotate_in_float64(self):
-        # omega * dt in float32 moved the vector by 9.2e-10.
-        r0 = BlochVector(0.1, 0.2, -0.3)
-        omega, dt = np.float32(0.7), np.float32(0.3)
-        assert evolve_bloch(r0, omega, dt) == evolve_bloch(r0, float(omega), float(dt))
+        # The oracle rotates by the float that IonConfig stores, so a float32 omega gives the float's bits.
+        omega = np.float32(0.7)
+        assert simulate_projective_sequence(IonConfig(omega, 0.01, 7)) == simulate_projective_sequence(
+            IonConfig(float(omega), 0.01, 7)
+        )
 
     def test_components_returned_as_python_floats(self):
-        r = evolve_bloch(BlochVector(*np.array([0.1, 0.2, -0.3], dtype=np.float32)), 1.0, 0.1)
-        assert {type(part) for part in r} == {float}
-
-    @pytest.mark.parametrize("r0", [("0.1", 0.0, 0.0), (True, 0.0, 0.0), (0.0, 1j, 0.0)], ids=repr)
-    def test_non_real_component_refused(self, r0):
-        # A str r1 came back unchecked.
-        message = f"Bloch vector components must be real numbers, not bool, got {r0!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            evolve_bloch(BlochVector(*r0), 1.0, 0.1)
+        r = (0.1, 0.2, -0.3)
+        for _ in range(3):  # one oracle step: rotate, check, map to rows, project, read back
+            r = _bloch(_project(_density(rotate(r, 1.0, 0.1))))
+            assert {type(part) for part in r} == {float}
 
     def test_real_arguments_of_any_type_accepted(self):
-        expected = evolve_bloch(BlochVector(0, 0, -1), 0.5, 2.0)
-        for omega, dt in [(Fraction(1, 2), np.int64(2)), (np.float64(0.5), 2), (0.5, Fraction(2))]:
-            assert evolve_bloch(BlochVector(0, 0, -1), omega, dt) == expected
+        expected = simulate_projective_sequence(IonConfig(0.5, 0.01, 5))
+        for omega in (Fraction(1, 2), np.float64(0.5), np.float32(0.5)):
+            assert simulate_projective_sequence(IonConfig(omega, 0.01, np.int64(5))) == expected
 
 
 class TestApplyProjection:
+    """The oracle's projection kernel ``_project`` on the rows of a state."""
+
     def test_coherences_dropped_populations_kept(self):
-        rho = np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex)
-        np.testing.assert_array_equal(apply_projection(rho), np.diag([0.3, 0.7]))
+        rows = [[0.3, 0.2], [0.2, 0.7]]
+        np.testing.assert_array_equal(np.array(_project(rows)), np.diag([0.3, 0.7]))
 
     def test_identity_on_diagonal_states(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_array_equal(apply_projection(rho), rho)
+        for rho in (np.diag([1.0, 0.0]), np.diag([0.2, 0.5, 0.3])):
+            np.testing.assert_array_equal(np.array(_project(rho.astype(complex).tolist())), rho)
 
     def test_superposition_becomes_maximally_mixed(self):
-        rho = density_from_bloch(BlochVector(1.0, 0.0, 0.0))
-        np.testing.assert_allclose(apply_projection(rho), np.diag([0.5, 0.5]), atol=0)
+        projected = np.array(_project(_density((1.0, 0.0, 0.0))))
+        np.testing.assert_allclose(projected, np.diag([0.5, 0.5]), atol=0)
 
     def test_never_increases_norm_never_moves_r3(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             v = rng.normal(size=3)
-            v /= max(1.0, np.linalg.norm(v))
-            r0 = BlochVector(*v)
-            rho = density_from_bloch(r0)
-            projected = apply_projection(rho)
+            r0 = tuple((v / max(1.0, np.linalg.norm(v))).tolist())
+            rows = _density(r0)
+            projected = _project(rows)
             # the map itself keeps the diagonal bit-exact
-            np.testing.assert_array_equal(np.diag(projected), np.diag(rho))
-            r1 = bloch_from_density(projected)
-            assert r1.norm() <= r0.norm() + 1e-15
-            assert r1.r3 == pytest.approx(r0.r3, abs=1e-15)
+            assert [projected[i][i] for i in range(2)] == [rows[i][i] for i in range(2)]
+            r1 = _bloch(projected)
+            assert math.hypot(*r1) <= math.hypot(*r0) + 1e-15
+            assert r1[2] == pytest.approx(r0[2], abs=1e-15)
 
 
 class TestConfigs:
@@ -525,14 +511,12 @@ class TestIntegrateLindblad:
     def test_restricted_two_level_dynamics_match_bloch_oracle(self):
         ion = IonConfig(1.0, 1e12, 1)
         cfg = LindbladConfig(ion, integrator_step=ion.t_pi / 4000)
-        r0 = BlochVector(0.2, -0.3, -0.8)
+        r0 = 0.2, -0.3, -0.8
         rho0 = np.zeros((3, 3), dtype=complex)
-        rho0[:2, :2] = density_from_bloch(r0)
+        rho0[:2, :2] = _density(r0)
         traj = integrate_lindblad(cfg, rho0)
         for t, rho in traj[::400] + [traj[-1]]:
-            got = bloch_from_density(np.ascontiguousarray(rho[:2, :2]))
-            want = evolve_bloch(r0, ion.omega, t)
-            assert got == pytest.approx(tuple(want), abs=1e-8)
+            assert _bloch(rho[:2, :2].tolist()) == pytest.approx(rotate(r0, ion.omega, t), abs=1e-8)
 
     def test_halving_step_converged(self):
         ion = IonConfig(1.0, 0.1, 2)

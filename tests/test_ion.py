@@ -1,20 +1,18 @@
 """Tests for the ion closed forms and their brute-force oracle."""
 
+import hashlib
 import importlib
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from zenosim import (
-    BlochVector,
     BoundViolationError,
     IonConfig,
     NonphysicalStateError,
-    apply_projection,
-    bloch_from_density,
-    density_from_bloch,
-    evolve_bloch,
     n_max,
     p2_asymptotic,
     p2_closed_form,
@@ -96,29 +94,28 @@ class TestProjectiveOracle:
             )
 
 
-def public_map_loop(cfg: IonConfig) -> float:
-    """The oracle as a loop over the four public maps, each checking its inputs on every step."""
-    r = BlochVector(0.0, 0.0, -1.0)
-    dt = cfg.t_pi / cfg.n_pulses
-    for _ in range(cfg.n_pulses):
-        r = evolve_bloch(r, cfg.omega, dt)
-        r = bloch_from_density(apply_projection(density_from_bloch(r)))
-    return (r.r3 + 1.0) / 2.0
-
-
 #: Every count to 50, and counts spread to 400, kept to ~15,000 oracle steps.
 ORACLE_COUNTS = (*range(1, 51), 64, 100, 127, 128, 150, 200, 256, 301, 400)
+#: SHA-256 of the oracle's values over ORACLE_COUNTS as little-endian float64, per omega: the
+#: bits that a loop over the package's former public Bloch maps gave, which a kernel edit must keep.
+ORACLE_BITS = {
+    3e-4: "144c68cce7efeb8c762355fdab19a96618066158783ad9cfcfc6f799b2cc237b",
+    0.25: "589deaa48c6eda62c8beedccba275f53fd5370107b9700ddf13b0d031b0028a6",
+    1.0: "589deaa48c6eda62c8beedccba275f53fd5370107b9700ddf13b0d031b0028a6",
+    7.5: "1b3c01b3813cd7d2ef3399dea488144d00e597521205f966003098c0ca62f3a1",
+    1e3: "7c5128a76250af5db30997ffaa6d1591fe3d1f4ad52d2155ecac1b8d125f39af",
+}
 
 
 class TestOracleOnKernels:
-    """The oracle checks once and steps on the public maps' kernels: the same bits, the norm check kept."""
+    """The oracle checks once and steps on unchecked kernels: pinned bits, the norm check kept."""
 
-    @pytest.mark.parametrize("omega", [3e-4, 0.25, 1.0, 7.5, 1e3])
+    @pytest.mark.parametrize("omega", ORACLE_BITS)
     def test_same_bits_as_public_maps(self, omega):
-        for n in ORACLE_COUNTS:
-            cfg = IonConfig(omega, 0.01, n)
-            got = simulate_projective_sequence(cfg)
-            assert type(got) is float and got == public_map_loop(cfg), n
+        values = [simulate_projective_sequence(IonConfig(omega, 0.01, n)) for n in ORACLE_COUNTS]
+        assert {type(value) for value in values} == {float}
+        digest = hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
+        assert digest == ORACLE_BITS[omega]
 
     def test_norm_check_runs_on_every_step(self, monkeypatch):
         rotate = ion_module._rotate
@@ -130,11 +127,9 @@ class TestOracleOnKernels:
 
     def test_non_finite_angle_refused_as_evolve_bloch_refuses(self):
         cfg = IonConfig(1e-310, 0.01, 4)  # t_pi = pi/omega overflows
-        with pytest.raises(ValueError) as expected:
-            public_map_loop(cfg)
-        with pytest.raises(ValueError) as refused:
+        message = "need dt >= 0 and a finite omega * dt, got omega=1e-310, dt=inf"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_projective_sequence(cfg)
-        assert str(refused.value) == str(expected.value)
 
 
 class TestNMax:
