@@ -84,9 +84,9 @@ def _rotate(r: tuple[float, float, float], c: float, s: float) -> tuple[float, f
     return r1, r2 * c - r3 * s, r2 * s + r3 * c
 
 
-def _project(rows) -> list:
-    """The rows of a square matrix with its diagonal kept and ``0j`` elsewhere, unchecked."""
-    return [(0j,) * i + (row[i],) + (0j,) * (len(row) - 1 - i) for i, row in enumerate(rows)]
+def _project(rows) -> tuple:
+    """The rows of a 2x2 state with its populations kept as given and ``0j`` coherences, unchecked."""
+    return (rows[0][0], 0j), (0j, rows[1][1])
 
 
 def _p2(n: int, floor: float) -> float:
@@ -116,17 +116,17 @@ def simulate_projective_sequence(cfg: IonConfig) -> float:
     then reads off the upper-level population (r3 + 1)/2, a plain Python float.
 
     ``cfg``'s fields are checked floats, so one check runs per call: the angle
-    omega T/N must be finite (else ValueError; T = pi/omega overflows for an
-    omega below about 1.7e-308).  Each step runs the kernels on plain Python numbers and
+    omega T/N must be finite (else ValueError naming omega and N: T = pi/omega overflows
+    for an omega below about 1.7e-308).  Each step runs the kernels on plain Python numbers and
     keeps the one check whose input changes per step: a rotated vector whose
     norm exceeds 1 beyond ``BLOCH_NORM_TOL``, or is NaN, raises NonphysicalStateError.
     """
-    omega, dt = cfg.omega, cfg.t_pi / cfg.n_pulses
-    if not abs(angle := omega * dt) < math.inf:
-        raise ValueError(f"need dt >= 0 and a finite omega * dt, got omega={omega!r}, dt={dt!r}")
+    omega, n = cfg.omega, cfg.n_pulses
+    if not abs(angle := omega * (cfg.t_pi / n)) < math.inf:
+        raise ValueError(f"need a finite t_pi = pi/omega, got omega={omega!r}, n={n}")
     c, s = math.cos(angle), math.sin(angle)
     r = 0.0, 0.0, -1.0  # (r1, r2, r3): the kernels take and give plain Python numbers
-    for _ in range(cfg.n_pulses):
+    for _ in range(n):
         r = _bloch(_project(_density(_check_norm(_rotate(r, c, s)))))
     return (r[2] + 1.0) / 2.0
 

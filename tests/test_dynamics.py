@@ -343,7 +343,7 @@ class TestApplyProjection:
         np.testing.assert_array_equal(np.array(_project(rows)), np.diag([0.3, 0.7]))
 
     def test_identity_on_diagonal_states(self):
-        for rho in (np.diag([1.0, 0.0]), np.diag([0.2, 0.5, 0.3])):
+        for rho in (np.diag([1.0, 0.0]), np.diag([0.2, 0.8])):
             np.testing.assert_array_equal(np.array(_project(rho.astype(complex).tolist())), rho)
 
     def test_superposition_becomes_maximally_mixed(self):

@@ -125,9 +125,9 @@ class TestOracleOnKernels:
         with pytest.raises(NonphysicalStateError, match="exceeds 1"):
             simulate_projective_sequence(ion_with_product(0.01, 4))
 
-    def test_non_finite_angle_refused_as_evolve_bloch_refuses(self):
+    def test_non_finite_angle_refused_naming_omega_and_n(self):
         cfg = IonConfig(1e-310, 0.01, 4)  # t_pi = pi/omega overflows
-        message = "need dt >= 0 and a finite omega * dt, got omega=1e-310, dt=inf"
+        message = "need a finite t_pi = pi/omega, got omega=1e-310, n=4"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_projective_sequence(cfg)
 
