@@ -23,13 +23,17 @@ stored flat as (9 b, 9), take the last state to the next b in one 2-D product.
 These blocks fill chunks of up to 4,096 states that run across segments; each
 chunk is validated at once, elementwise over its coordinate columns, for unit
 trace and the LDL^H pivots of positivity, since every state is Hermitian by
-construction: rho0 alone is checked for Hermiticity.  One rule gives every
-state's time.
+construction: rho0 alone is checked for Hermiticity.  The chunk buffer and the
+gate's scratch are per thread and reused by each of its rows, so a row makes
+no chunk-sized array of its own.  One rule gives every state's time.
+``_expm``, a LAPACK-free exponential of a stack of generators accurate to
+rounding, has no caller yet.
 """
 
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 from .errors import ConfigError, IntegrationError, InvalidStateError
@@ -57,6 +61,12 @@ _BLOCK = 64
 _CHUNK = 64 * _BLOCK
 #: Rows and columns of the upper entries (0,1), (0,2), (1,2): x_3..x_8 are their real and imaginary parts.
 _I, _J = [0, 0, 1], [1, 2, 2]
+#: Rows of the gate's scratch: the trace residue, then :func:`_positive_definite`'s work rows.
+_GATE_ROWS = 6
+#: Per thread, the free (chunk buffer, gate scratch) pairs of :func:`_trajectory_chunks`.
+_POOL = threading.local()
+#: 1/k!, k = 0..18: the Taylor coefficients of :func:`_expm`.
+_TAYLOR = [1 / math.factorial(k) for k in range(19)]
 
 
 @dataclass(frozen=True)
@@ -267,35 +277,81 @@ def _rk4_powers(generator: "np.ndarray", h: float) -> "np.ndarray":
     return powers.reshape(-1, 9)
 
 
-def _positive_definite(x: "np.ndarray") -> "np.ndarray":
+def _expm(a: "np.ndarray") -> "np.ndarray":
+    """exp(A) for each matrix A of a (k, d, d) stack, by matrix products alone.
+
+    Each A is scaled by its own 2^-s, s >= 0 the exponent of ||A||_1 by
+    ``frexp``, so ||A 2^-s||_1 < 1.  The degree-18 Taylor polynomial of A 2^-s
+    is evaluated in Paterson-Stockmeyer form, by Horner's rule in A^4 over
+    blocks in I, A, A^2 and A^3 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60
+    (1973)), then squared s times, each squaring taking only the matrices with
+    one left (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  No ``np.linalg``
+    call, so LAPACK stays unloaded.  Its errors against a 50-digit reference
+    are measured in ``tests/test_dynamics.py``'s ``TestExpm``.
+    """
+    squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1], 0)
+    a = np.ldexp(a, -squarings[:, None, None])
+    powers = [np.eye(a.shape[-1]), a, a @ a]
+    powers.append(powers[2] @ a)
+    a4 = powers[2] @ powers[2]
+    value = sum(c * p for c, p in zip(_TAYLOR[16:], powers))
+    for j in (12, 8, 4, 0):
+        value = value @ a4 + sum(c * p for c, p in zip(_TAYLOR[j:j + 4], powers))
+    for done in range(squarings.max(initial=0)):
+        left = squarings > done
+        value[left] = value[left] @ value[left]
+    return value
+
+
+def _positive_definite(x: "np.ndarray", work: "np.ndarray | None" = None) -> "np.ndarray":
     """Whether each state plus TRAJECTORY_MIN_EIG_TOL has all LDL^H pivots > 0.
 
     ``x`` is (9, b), a chunk's coordinates as rows, so rho_10 = x[3] - i x[4] and so on.
+    ``work`` is (5, b) float scratch that every intermediate is written into,
+    so a call allocates only its verdict; without it the call makes its own.
     As reliable as Cholesky, and without LAPACK, whose eigensolver pages in
     about 1 MB of library code.  Call it with divide, invalid and overflow
     ignored: a non-finite or huge state fails.
     """
-    d1 = x[0] + TRAJECTORY_MIN_EIG_TOL
-    d2 = x[1] + TRAJECTORY_MIN_EIG_TOL - (x[3] ** 2 + x[4] ** 2) / d1
+    d1, d2, l_re, l_im, t = np.empty((5, x.shape[1])) if work is None else work
+    np.add(x[0], TRAJECTORY_MIN_EIG_TOL, out=d1)
+    # d2 = x1 + tol - (x3^2 + x4^2) / d1, with l_re and l_im as work rows
+    np.add(np.square(x[3], out=l_re), np.square(x[4], out=l_im), out=l_re)
+    np.subtract(np.add(x[1], TRAJECTORY_MIN_EIG_TOL, out=d2), np.divide(l_re, d1, out=l_re), out=d2)
     # d2 times L[2, 1]: rho_21 - rho_20 conj(rho_10) / d1, its real part and minus its imaginary one
-    l_re = x[7] - (x[5] * x[3] + x[6] * x[4]) / d1
-    l_im = x[8] + (x[5] * x[4] - x[6] * x[3]) / d1
-    d3 = x[2] + TRAJECTORY_MIN_EIG_TOL - (x[5] ** 2 + x[6] ** 2) / d1 - (l_re ** 2 + l_im ** 2) / d2
-    return (d1 > 0) & (d2 > 0) & (d3 > 0)
+    np.add(np.multiply(x[5], x[3], out=l_re), np.multiply(x[6], x[4], out=t), out=l_re)
+    np.subtract(x[7], np.divide(l_re, d1, out=l_re), out=l_re)
+    np.subtract(np.multiply(x[5], x[4], out=l_im), np.multiply(x[6], x[3], out=t), out=l_im)
+    np.add(x[8], np.divide(l_im, d1, out=l_im), out=l_im)
+    # d3 = x2 + tol - (x5^2 + x6^2) / d1 - (l_re^2 + l_im^2) / d2, the last quotient into l_re
+    np.add(np.square(l_re, out=l_re), np.square(l_im, out=l_im), out=l_re)
+    np.divide(l_re, d2, out=l_re)
+    np.add(np.square(x[5], out=l_im), np.square(x[6], out=t), out=l_im)
+    np.subtract(np.add(x[2], TRAJECTORY_MIN_EIG_TOL, out=t), np.divide(l_im, d1, out=l_im), out=t)
+    return (d1 > 0) & (d2 > 0) & (np.subtract(t, l_re, out=t) > 0)
 
 
-def _validate_block(cfg: LindbladConfig, first: int, rows: "np.ndarray") -> "np.ndarray":
+def _validate_block(cfg: LindbladConfig, first: int, rows: "np.ndarray",
+                    scratch: "np.ndarray | None" = None) -> "np.ndarray":
     """A chunk's (b, 9) coordinate rows, or raise at the earliest bad state.
 
-    ``first`` is the trajectory index of the chunk's first state.  At the bad
-    state trace is reported first, then positivity.  Comparisons are written
-    so that NaN fails them.  Only a failure makes times, walking
-    :func:`_state_times` up to the bad state: 13-18 s at the end of a ``MAX_STEPS`` row.
+    ``first`` is the trajectory index of the chunk's first state.  ``scratch``,
+    (_GATE_ROWS, >= b), is the gate scratch that :func:`_trajectory_chunks`
+    keeps per thread and reuses for every chunk of its rows: the trace residue
+    and the positivity pivots are written into its first b columns, so a chunk
+    allocates only its verdicts.  Without it the call makes its own.  At the
+    bad state trace is reported first, then positivity.  Comparisons are
+    written so that NaN fails them.  Only a failure makes times, walking
+    :func:`_state_times` up to the bad state: 13-18 s at the end of a
+    ``MAX_STEPS`` row.
     """
     x = rows.T  # (9, b): each coordinate over the chunk, so every check is elementwise
+    work = np.empty((_GATE_ROWS, len(rows))) if scratch is None else scratch[:, :len(rows)]
+    trace = work[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite or huge: fails
-        trace = np.abs(x[0] + x[1] + x[2] - 1.0)
-        ok = (trace <= TRAJECTORY_TRACE_TOL) & _positive_definite(x)
+        np.add(np.add(x[0], x[1], out=trace), x[2], out=trace)
+        np.abs(np.subtract(trace, 1.0, out=trace), out=trace)
+        ok = (trace <= TRAJECTORY_TRACE_TOL) & _positive_definite(x, work[1:])
     if ok.all():
         return rows
     i = int(np.argmin(ok))
@@ -312,8 +368,14 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
 
     ``first`` indexes a chunk's first state (times: :func:`_state_times`).  Each
     segment advances a block at a time, one 2-D product of P^1..P^b with the
-    last state, into one reused buffer of ``_CHUNK`` states that runs across
-    segments; each chunk is validated whole and yielded as a view, to copy before resuming.
+    last state, into a buffer of ``_CHUNK`` states that runs across segments;
+    each chunk is validated whole and yielded as a view, to copy before resuming.
+    The buffer and the gate's scratch are a pair from this thread's free list,
+    popped on entry and returned on exit, so consecutive rows reuse one pair
+    and free no chunk-sized array (a freed one let the allocator trim the heap,
+    and the next row faulted the pages back in).  A fresh pair is made only when
+    the list is empty, as for a second live trajectory in this thread, or when
+    its buffer is shorter than ``_CHUNK``.
     """
     rho = as_density(rho0)
     if rho.shape != (3, 3):
@@ -324,28 +386,36 @@ def _trajectory_chunks(cfg: LindbladConfig, rho0):
     with np.errstate(invalid="ignore", over="ignore"):  # a huge pair may overflow: the gate fails it
         upper = 0.5 * (rho[_I, _J] + rho[_J, _I].conj())
     x = np.concatenate((rho.diagonal().real, upper.view(float)))  # rho0's Hermitian part as x
-    yield 0, _validate_block(cfg, 0, x[None])
+    free = _POOL.__dict__.setdefault("pairs", [])  # __dict__ is this thread's own
+    pair = free.pop() if free else None
+    if pair is None or len(pair[0]) < _CHUNK:
+        pair = np.empty((_CHUNK, 9)), np.empty((_GATE_ROWS, _CHUNK))
+    chunk, scratch = pair
+    try:
+        yield 0, _validate_block(cfg, 0, x[None], scratch)
 
-    rf, optical, decay = _generator_parts()
-    step_maps = {}  # (9 _BLOCK, 9) per exact (pulse_on, h); its products use one core
-    first, filled, chunk = 1, 0, np.empty((_CHUNK, 9))
-    for start, end, pulse_on, n_steps in _segments(cfg):
-        h = (end - start) / n_steps
-        key = (pulse_on, h)
-        if key not in step_maps:
-            omega = cfg.ion.omega if not pulse_on or cfg.schedule.rf_during_pulse else 0.0
-            rabi = cfg.schedule.optical_rabi if pulse_on else 0.0
-            step_maps[key] = _rk4_powers(omega * rf + rabi * optical + cfg.gamma * decay, h)
-        for done in range(0, n_steps, _BLOCK):
-            size = min(_BLOCK, n_steps - done)
-            if filled + size > _CHUNK:
-                yield first, _validate_block(cfg, first, chunk[:filled])
-                # x, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.
-                first, filled = first + filled, 0
-            np.matmul(step_maps[key][:9 * size], x, out=chunk[filled:filled + size].reshape(-1))
-            filled += size
-            x = chunk[filled - 1]
-    yield first, _validate_block(cfg, first, chunk[:filled])
+        rf, optical, decay = _generator_parts()
+        step_maps = {}  # (9 _BLOCK, 9) per exact (pulse_on, h); its products use one core
+        first, filled = 1, 0
+        for start, end, pulse_on, n_steps in _segments(cfg):
+            h = (end - start) / n_steps
+            key = (pulse_on, h)
+            if key not in step_maps:
+                omega = cfg.ion.omega if not pulse_on or cfg.schedule.rf_during_pulse else 0.0
+                rabi = cfg.schedule.optical_rabi if pulse_on else 0.0
+                step_maps[key] = _rk4_powers(omega * rf + rabi * optical + cfg.gamma * decay, h)
+            for done in range(0, n_steps, _BLOCK):
+                size = min(_BLOCK, n_steps - done)
+                if filled + size > _CHUNK:
+                    yield first, _validate_block(cfg, first, chunk[:filled], scratch)
+                    # x, at >= _CHUNK - _BLOCK, is past the rows [0, _BLOCK) the next block writes.
+                    first, filled = first + filled, 0
+                np.matmul(step_maps[key][:9 * size], x, out=chunk[filled:filled + size].reshape(-1))
+                filled += size
+                x = chunk[filled - 1]
+        yield first, _validate_block(cfg, first, chunk[:filled], scratch)
+    finally:
+        free.append(pair)
 
 
 def integrate_lindblad(cfg: LindbladConfig, rho0) -> "list[tuple[float, np.ndarray]]":

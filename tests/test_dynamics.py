@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -28,6 +30,7 @@ from zenosim import (
     populations,
     simulate_projective_sequence,
 )
+from zenosim import dynamics
 from zenosim.dynamics import (
     MAX_STEPS,
     TRAJECTORY_HERMITICITY_TOL,
@@ -35,6 +38,7 @@ from zenosim.dynamics import (
     TRAJECTORY_TRACE_TOL,
     _BLOCK,
     _CHUNK,
+    _expm,
     _generator_parts,
     _positive_definite,
     _rk4_powers,
@@ -823,6 +827,69 @@ class TestExactOracle:
         assert abs(got[1, 1].real - exact[4].real) <= 4e-9
 
 
+def expm_cases() -> dict[str, np.ndarray]:
+    """Generators t (omega G_rf + Omega_opt G_opt + gamma G_decay) of the kinds a row meets, at its extremes."""
+    rf, optical, decay = _generator_parts()
+    return {
+        "rotation, omega t = 4e3": 4e3 * rf,
+        "pulse, gamma d = 0.4": 0.04 * rf + math.pi * optical + 0.4 * decay,
+        "gap, gamma t = 30": 3.0 * rf + 30.0 * decay,
+        "stiff decay, gamma t = 3e5": rf + 3e5 * decay,
+        "stiff decay, gamma t = 1e7": rf + 1e7 * decay,
+        "mixed": 400.0 * rf + 1000.0 * optical + 30.0 * decay,
+    }
+
+
+class TestExpm:
+    """``_expm`` against a 50-digit mpmath reference and scipy's ``expm``.
+
+    Largest entry errors measured (mpmath 1.3.0, scipy 1.17.1, numpy 2.4.6), in
+    the order of :func:`expm_cases`: against mpmath 5.97e-13, 6.7e-16, 1.2e-15,
+    3.76e-13, 3.76e-13 and 7.6e-14; against scipy, which itself errs by 2.8e-11
+    on the large rotation and is not used there, 3.2e-15, 1.1e-15, 4.4e-16,
+    2.2e-16 and 9.3e-14.  Each bound is 1.5 times its margin, at least 1e-15.
+    """
+
+    MPMATH_BOUNDS = (9e-13, 1e-15, 1.8e-15, 5.7e-13, 5.7e-13, 1.2e-13)
+    SCIPY_BOUNDS = (None, 4.9e-15, 1.7e-15, 1e-15, 1e-15, 1.4e-13)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        cases = expm_cases()
+        got = _expm(np.stack(list(cases.values())))
+        with mpmath.workdps(50):
+            for (name, generator), value, bound in zip(cases.items(), got, self.MPMATH_BOUNDS):
+                want = np.array(mpmath.expm(mpmath.matrix(generator.tolist())).tolist(), dtype=float)
+                assert np.abs(value - want).max() <= bound, name
+
+    def test_against_scipy(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        cases = expm_cases()
+        got = _expm(np.stack(list(cases.values())))
+        for (name, generator), value, bound in zip(cases.items(), got, self.SCIPY_BOUNDS):
+            if bound is not None:
+                assert np.abs(value - expm(generator)).max() <= bound, name
+
+    def test_each_matrix_scaled_and_squared_alone(self):
+        # A stack gives each matrix the bits it gets alone, whatever the
+        # others' norms: none, one below 1 and so never squared, and large ones.
+        cases = [np.zeros((9, 9)), 0.3 * _generator_parts()[0], *expm_cases().values()]
+        stacked = _expm(np.stack(cases))
+        for k, generator in enumerate(cases):
+            np.testing.assert_array_equal(stacked[k], _expm(generator[None])[0])
+        np.testing.assert_array_equal(stacked[0], np.eye(9))
+        assert _expm(np.zeros((0, 9, 9))).shape == (0, 9, 9)
+
+    def test_calls_no_linalg(self):
+        raising = {
+            name: mock.Mock(side_effect=AssertionError(f"numpy.linalg.{name} called"))
+            for name in np.linalg.__all__
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type)
+        }
+        with mock.patch.multiple(np.linalg, **raising):
+            _expm(np.stack(list(expm_cases().values())))
+
+
 LINDBLAD_CHECK_PASSES = """
 import math
 import time
@@ -848,8 +915,9 @@ print(time.process_time() - cpu, time.perf_counter() - wall)
 class TestChunkedEngine:
     """Stepping in blocks per segment, validation in chunks across segments."""
 
-    #: Chunk sizes that must give the same bits and failures: whole blocks, two or more.
-    CHUNK_SIZES = (2 * _BLOCK, 8 * _BLOCK, _CHUNK)
+    #: Chunk sizes that must give the same bits and failures: whole blocks, two or more,
+    #: and one longer than the pooled buffer, which a row then replaces by a longer one.
+    CHUNK_SIZES = (2 * _BLOCK, 8 * _BLOCK, _CHUNK, 2 * _CHUNK)
 
     def test_block_products_run_on_one_core(self):
         # A fresh interpreter with no *_NUM_THREADS variable runs numpy at its
@@ -974,6 +1042,87 @@ class TestChunkedEngine:
         cfg = LindbladConfig(ion, PulseSchedule.equispaced(ion))
         with mock.patch("zenosim.dynamics._state_times", side_effect=AssertionError("times made")):
             final_state(cfg, GROUND3)
+
+
+def buffer_chunks(cfg: LindbladConfig) -> list[np.ndarray]:
+    """The chunks of ``cfg``'s trajectory from the ground state after rho0's, as the views yielded."""
+    return [xs for first, xs in _trajectory_chunks(cfg, GROUND3) if first]
+
+
+def pool_cfgs() -> list[LindbladConfig]:
+    """lindblad-check's n = 8 row (five chunks), gate_cfg() (two) and a schedule-free row (one)."""
+    ion = IonConfig(1.0, math.pi / 8 / 20, 8)
+    return [LindbladConfig(ion, PulseSchedule.equispaced(ion)), gate_cfg(),
+            LindbladConfig(IonConfig(1.0, 0.1, 4))]
+
+
+class TestChunkPool:
+    """Each thread's rows reuse a (chunk buffer, gate scratch) pair from its free list."""
+
+    def test_consecutive_rows_share_a_buffer(self):
+        cfg = pool_cfgs()[0]
+        first, second = buffer_chunks(cfg), buffer_chunks(cfg)
+        assert len(first) > 1 and np.shares_memory(first[0], second[0])
+
+    def test_interleaved_rows_get_their_own_buffers(self):
+        cfgs = pool_cfgs()[:2]
+        solo = [np.concatenate([xs.copy() for _, xs in _trajectory_chunks(cfg, GROUND3)]) for cfg in cfgs]
+        runs = [_trajectory_chunks(cfg, GROUND3) for cfg in cfgs]
+        got = [[], []]
+        for steps in itertools.zip_longest(*runs):
+            if all(step and step[0] for step in steps):  # both live, past rho0
+                assert not np.shares_memory(steps[0][1], steps[1][1])
+            for chunks, step in zip(got, steps):
+                if step:
+                    chunks.append(step[1].copy())
+        for want, chunks in zip(solo, got):
+            assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    def test_threads_give_sequential_bytes(self):
+        # Four threads, each switched out every 10 us so that their rows
+        # interleave: each row's chunks stay its own while the others run.
+        ion = IonConfig(1.0, math.pi / 10, 4)
+        cfgs = pool_cfgs() + [LindbladConfig(ion, PulseSchedule.equispaced(ion, duration_fraction=0.05))]
+
+        def run(cfg):
+            states = np.array([rho for _, rho in integrate_lindblad(cfg, GROUND3)])
+            return states.tobytes(), final_state(cfg, AUX3).tobytes()
+
+        want = [run(cfg) for cfg in cfgs]
+        start = threading.Barrier(len(cfgs), timeout=60)
+
+        def repeat(cfg):
+            start.wait()
+            return [run(cfg) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cfgs)) as pool:
+                got = list(pool.map(repeat, cfgs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[one] * 3 for one in want]
+
+    def test_each_thread_has_its_own_pairs(self):
+        cfg = pool_cfgs()[1]
+        here = buffer_chunks(cfg)[0]
+        with ThreadPoolExecutor(1) as pool:
+            there = pool.submit(lambda: [buffer_chunks(cfg)[0] for _ in range(2)]).result(timeout=60)
+        assert np.shares_memory(there[0], there[1]) and not np.shares_memory(here, there[0])
+        assert np.shares_memory(here, buffer_chunks(cfg)[0])
+
+    def test_pair_back_after_integration_error(self):
+        cfg = pool_cfgs()[0]
+        final_state(cfg, GROUND3)
+        free = vars(dynamics._POOL)["pairs"]
+        pooled = list(free)
+        for rho0, tol in ((np.diag([1.0, 1e-8, 0.0]), TRAJECTORY_TRACE_TOL), (GROUND3, 0.0)):
+            with mock.patch("zenosim.dynamics.TRAJECTORY_TRACE_TOL", tol), \
+                    pytest.raises(IntegrationError) as err:
+                final_state(cfg, rho0)
+            assert len(free) == len(pooled) and all(a is b for a, b in zip(free, pooled))
+        assert err.value.time > 0  # a later state's failure, past rho0's gate
 
 
 class TestGate:
